@@ -170,10 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "aborts with a VerificationError naming the "
                              "invariant")
     parser.add_argument("--no-batch", action="store_true",
-                        help="force the scalar replay loop instead of the "
-                             "vectorized batch engine (pomtlb[fast]); "
-                             "results are bit-identical either way "
-                             "(also: POMTLB_BATCH=0)")
+                        help="accepted; no effect")
     return parser
 
 
@@ -197,8 +194,6 @@ def _params_from_args(args: argparse.Namespace) -> ExperimentParams:
         overrides["retry_backoff_s"] = args.retry_backoff
     if args.verify:
         overrides["verify"] = True
-    if args.no_batch:
-        overrides["batch"] = False
     return ExperimentParams.from_env(**overrides)
 
 
@@ -473,8 +468,7 @@ def _lifecycle_parser() -> argparse.ArgumentParser:
                              "during every run (results are "
                              "bit-identical; violations exit 1)")
     parser.add_argument("--no-batch", action="store_true",
-                        help="force the scalar engine even where no "
-                             "events are scheduled")
+                        help="accepted; no effect")
     parser.add_argument("--json", action="store_true",
                         help="emit reports as JSON")
     parser.add_argument("--output", default="", metavar="PATH",
@@ -527,8 +521,6 @@ def _lifecycle_main(argv: List[str]) -> int:
         return EXIT_USAGE
 
     overrides = {"verify": args.verify}
-    if args.no_batch:
-        overrides["batch"] = False
     if args.cores is not None:
         overrides["num_cores"] = args.cores
     if args.refs is not None:

@@ -34,7 +34,7 @@ the engine-equivalence test, the exact same counters.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common import addr
@@ -98,16 +98,6 @@ class TranslationScheme:
 
     name = "abstract"
 
-    #: Batch-replay contract (:mod:`repro.core.batch`): the packed
-    #: L1-probe prefix of ``translate_packed`` is this base class's
-    #: implementation, so the batched engine may resolve L1 hits inline.
-    #: A subclass that customizes the L1 front end must clear this.
-    batch_l1_inline = True
-    #: Same contract for the private-L2 probe prefix (hit counting, MRU
-    #: refresh, L1 insert).  Cleared by schemes that replace the private
-    #: L2 with different bookkeeping (shared_l2's shadow TLBs).
-    batch_l2_inline = True
-
     def __init__(self, config: SystemConfig, stats: StatRegistry,
                  hierarchy: CacheHierarchy, walkers: WalkerPool) -> None:
         self.config = config
@@ -168,38 +158,6 @@ class TranslationScheme:
         slot.touched = True
         return TranslationResult(tlbs.l1_latency + tlbs.l2_latency + penalty,
                                  True, penalty)
-
-    def resolve_packed(self, core: int, ctx: int, vaddr: int,
-                       page: ResolvedPage, key: int, l1_idx: int,
-                       l2_idx: int) -> Tuple[int, int]:
-        """Miss tail of :meth:`translate_packed` for the batched engine.
-
-        The caller (:mod:`repro.core.batch`) has already probed the L1
-        and private L2 TLBs through their batch views and tallied both
-        miss counters, so this picks up at the L2-miss bookkeeping with
-        the packed ``key`` and both set indices precomputed — no
-        re-hash, no re-probe.  Returns ``(total_cycles, penalty)``, the
-        :class:`TranslationResult` fields the replay loop consumes.
-        Only valid on schemes with ``batch_l2_inline`` set.
-        """
-        slot = self._l2_misses
-        slot.value += 1
-        slot.touched = True
-        penalty = self._resolve_miss(core, (ctx >> 1) & 0xFFFF,
-                                     (ctx >> 17) & 0xFFFF, vaddr, page)
-        tlbs = self.cores[core]
-        if key & 1:
-            entry = TlbEntry(page.host_frame >> _LARGE_SHIFT)
-            l1 = tlbs.l1_large
-        else:
-            entry = TlbEntry(page.host_frame >> _SMALL_SHIFT)
-            l1 = tlbs.l1_small
-        tlbs.l2.insert_at(l2_idx, key, entry)
-        l1.insert_at(l1_idx, key, entry)
-        slot = self._penalty_cycles
-        slot.value += penalty
-        slot.touched = True
-        return tlbs.l1_latency + tlbs.l2_latency + penalty, penalty
 
     def _translate_traced(self, core: int, ctx: int, vaddr: int,
                           page: ResolvedPage) -> TranslationResult:
@@ -524,11 +482,6 @@ class SharedL2Scheme(TranslationScheme):
     """
 
     name = "shared_l2"
-
-    #: The private-L2 probe is replaced by shadow + shared-array
-    #: bookkeeping, so batched replay must take the scalar path on every
-    #: L1 miss (L1 hits still share the base front end).
-    batch_l2_inline = False
 
     def __init__(self, config: SystemConfig, stats: StatRegistry,
                  hierarchy: CacheHierarchy, walkers: WalkerPool,

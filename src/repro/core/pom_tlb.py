@@ -50,13 +50,6 @@ _LINE = addr.CACHE_LINE_SIZE
 class PomTlb:
     """Functional state + DRAM timing of the part-of-memory TLB."""
 
-    #: Batch-replay contract (:mod:`repro.core.batch`): resolving a miss
-    #: through this structure touches the stacked DRAM and the L2/L3
-    #: SRAM caches (TLB-kind lines) but never another core's L1 TLB or
-    #: L1 data cache — the property that keeps the batched engine's
-    #: same-stream duplicate collapsing and inline L1 probes exact.
-    L1_PRIVATE = True
-
     def __init__(self, config: SystemConfig, stats: StatRegistry) -> None:
         self.config: PomTlbConfig = config.pom_tlb
         self.addressing = PomTlbAddressing(self.config)

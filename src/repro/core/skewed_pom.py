@@ -44,11 +44,6 @@ _VM_SPREAD = 0x9E37
 class SkewedPomTlb:
     """Drop-in POM-TLB variant with unified storage and skewed ways."""
 
-    #: Batch-replay contract (:mod:`repro.core.batch`): resolving a miss
-    #: through this structure never touches another core's L1 TLB or L1
-    #: data cache (see :class:`repro.core.pom_tlb.PomTlb`).
-    L1_PRIVATE = True
-
     def __init__(self, config: SystemConfig, stats) -> None:
         self.config: PomTlbConfig = config.pom_tlb
         self.stats: StatGroup = stats.group("pom_tlb")

@@ -33,9 +33,8 @@ from ..tlb.entry import pack_context
 from ..verify.verifier import NO_VERIFIER, Verifier
 from ..vmm.thp import ThpPolicy
 from ..vmm.vm import FreedFrames, Host, NativeProcess, ResolvedPage
-from ..workloads.trace import CoreStream, interleave_batched
-from .batch import resolve_batch_flag
-from .batch import try_replay as _batch_try_replay
+from ..workloads.packed import PackedStream, as_packed
+from ..workloads.trace import CoreStream, merge_order
 from .mmu import TranslationScheme, make_scheme
 from .walkers import WalkerPool
 
@@ -44,8 +43,7 @@ _LARGE_SHIFT = addr.LARGE_PAGE_SHIFT
 _SMALL_MASK = addr.SMALL_PAGE_SIZE - 1
 _LARGE_MASK = addr.LARGE_PAGE_SIZE - 1
 
-#: Write-bitmap bit -> the exact bool the tuple path passes, so packed
-#: replay feeds ``data_access`` bit-identical arguments.
+#: Write-bitmap bit -> the bool ``data_access`` takes.
 _WRITE_BOOL = (False, True)
 
 
@@ -165,7 +163,6 @@ class Machine:
                  obs: Optional[Observability] = None,
                  faults=None,
                  verify=None,
-                 batch: Optional[bool] = None,
                  **scheme_kwargs) -> None:
         self.config = config
         self.seed = seed
@@ -197,15 +194,9 @@ class Machine:
             self.verifier = Verifier()
         else:
             self.verifier = verify
-        #: Batched-replay knob (:mod:`repro.core.batch`).  ``None`` defers
-        #: to the ``POMTLB_BATCH`` env var (default on); it is an
-        #: execution field — it can never change results, only which
-        #: engine produces them.
-        self.batch_enabled = resolve_batch_flag(batch)
-        #: ``"batch"`` or ``"scalar"`` after the last :meth:`run`.
-        self.last_replay_mode: Optional[str] = None
-        #: Why the batch engine declined the last run (None if it ran).
-        self.batch_fallback_reason: Optional[str] = None
+
+    #: The replay engine of :meth:`run`; there is only the one loop.
+    last_replay_mode = "scalar"
 
     # -- software contexts ----------------------------------------------------
 
@@ -230,11 +221,11 @@ class Machine:
             return vm.touch(asid, vaddr)
         return self._native_process(asid).touch(vaddr)
 
-    def _stream_info(self, stream: CoreStream) -> tuple:
+    def _stream_info(self, stream: PackedStream) -> tuple:
         """Per-stream constants hoisted out of the replay hot loop.
 
         Creates the stream's VM/process on first use — at the stream's
-        first chunk, which is exactly where the seed engine's first
+        first reference, which is exactly where the seed engine's first
         ``touch`` would have created them, so page-frame allocation
         order (and thus every downstream address) is unchanged.
         """
@@ -249,13 +240,9 @@ class Machine:
         # Demand-paging (first touch of a page) goes through the public
         # ``touch`` so profiling/instrumentation wrappers still see it;
         # resolved pages are served straight from the process dicts.
-        touch_slow = partial(self.touch, vm_id, asid)
-        # Packed streams expose columns for tuple-free replay; resolved
-        # here (once per stream) so the tuple path pays nothing per chunk.
-        columns = getattr(stream, "columns", None)
-        return (stream.core, pack_context(vm_id, asid),
-                proc.large_pages, proc.small_pages, touch_slow,
-                columns() if columns is not None else None)
+        return ((stream.core, pack_context(vm_id, asid),
+                 proc.large_pages.get, proc.small_pages.get,
+                 partial(self.touch, vm_id, asid)) + stream.columns())
 
     # -- execution -----------------------------------------------------------
 
@@ -264,6 +251,11 @@ class Machine:
             warmup_references: Union[int, Mapping[int, int]] = 0,
             events: Optional[Sequence] = None) -> SimulationResult:
         """Replay the streams to completion (or ``max_references``).
+
+        Streams without packed columns are packed first; the global
+        replay order (:func:`~repro.workloads.trace.merge_order`) is
+        computed once, and one loop replays it reference by reference.
+        A stream whose icounts decrease raises ``ValueError``.
 
         ``warmup_references`` replays that much of the trace first, then
         zeroes every statistic while keeping all structure state (TLB,
@@ -277,37 +269,27 @@ class Machine:
         core has delivered its own count — required when streams tick
         their instruction clocks at different rates (mixed-benchmark
         consolidation), where a global count would cut some cores off
-        mid-prologue.
+        mid-prologue.  ``max_references`` counts measured references,
+        i.e. those after the warm-up reset.
 
         ``events`` schedules OS-level operations mid-run: each entry has
-        a ``position`` (the 0-based index in the global interleaved
-        merge, warmup included, *before* which it fires) and an
+        a ``position`` (the 0-based index in the global replay order,
+        warmup included, *before* which it fires) and an
         ``apply(machine)`` method — see
-        :class:`~repro.workloads.lifecycle.LifecycleEvent`.  Events at or
-        past the end of the trace fire after the last reference; events
-        past a ``max_references`` stop never fire.  Scheduled events
-        force the scalar engine (recorded in ``batch_fallback_reason``),
-        so results are engine-independent by construction.
+        :class:`~repro.workloads.lifecycle.LifecycleEvent`.  Events cut
+        the order into segments; after one fires, every stream's hoisted
+        state is re-resolved (a destroyed VM's page maps are dead).
+        Events at or past the end of the trace fire after the last
+        reference; events past a ``max_references`` stop never fire.
         """
-        streams = list(streams)
+        streams = [as_packed(stream) for stream in streams]
         for stream in streams:
             if stream.core >= self.config.num_cores:
                 raise ValueError(
                     f"stream core {stream.core} >= {self.config.num_cores} cores")
-        pending = sorted(events, key=lambda e: e.position) if events else []
-        if self.batch_enabled:
-            if pending:
-                self.batch_fallback_reason = ("mid-run lifecycle events "
-                                              "scheduled")
-            else:
-                replay = _batch_try_replay(self, streams, max_references,
-                                           warmup_references)
-                if replay is not None:
-                    self.last_replay_mode = "batch"
-                    return self._finish_run(*replay)
-        else:
-            self.batch_fallback_reason = "batching disabled"
-        self.last_replay_mode = "scalar"
+        sources, positions = merge_order(streams)
+        total = len(sources)
+        queue = sorted(events, key=lambda e: e.position) if events else []
         obs = self.obs
         faults = self.faults
         tracer = obs.tracer
@@ -340,84 +322,27 @@ class Machine:
         warmup_boundary: Dict[int, int] = {}
         last_icount: Dict[int, int] = {}
         stop_at = max_references if max_references is not None else float("inf")
-        infos: Dict[int, tuple] = {}
         stopped = False
-        chunks = interleave_batched(streams)
-        if pending:
-            chunks = self._chunks_with_events(chunks, pending, infos)
-        for stream, lo, hi in chunks:
-            info = infos.get(id(stream))
-            if info is None:
-                info = infos[id(stream)] = self._stream_info(stream)
-            core, ctx, large_pages, small_pages, touch_slow, cols = info
-            large_get = large_pages.get
-            small_get = small_pages.get
-            if cols is not None:
-                # Columnar replay: a packed (cache / shared-memory)
-                # stream is consumed straight off its icount/vaddr/write
-                # columns — no MemoryReference tuple is materialized.
-                # Mirrors the tuple loop below line for line; keep the
-                # two in sync.
-                icounts, vaddrs, writebits = cols
-                i = lo
-                for i in range(lo, hi):
-                    if warming:
-                        if warmup_remaining:
-                            key = -1 if -1 in warmup_remaining else core
-                            if key in warmup_remaining:
-                                warmup_remaining[key] -= 1
-                                if warmup_remaining[key] <= 0:
-                                    del warmup_remaining[key]
-                        else:
-                            warming = False
-                            references = 0
-                            translation_cycles = 0
-                            data_cycles = 0
-                            self.stats.reset()
-                            obs.reset()
-                            verifier.reset()
-                            if tracer.enabled:
-                                tracer.marker("stats_reset")
-                            warmup_boundary = dict(last_icount)
-                    if faults_active:
-                        on_translation()
-                    vaddr = vaddrs[i]
-                    page = large_get(vaddr >> _LARGE_SHIFT)
-                    if page is None:
-                        page = small_get(vaddr >> _SMALL_SHIFT)
-                        if page is None:
-                            page = touch_slow(vaddr)
-                    result = translate_packed(core, ctx, vaddr, page)
-                    translation_cycles += result[0]
-                    hpa = page[2] | (vaddr & (_LARGE_MASK if page[0]
-                                              else _SMALL_MASK))
-                    data_cycles += data_access(
-                        core, hpa,
-                        is_write=_WRITE_BOOL[(writebits[i >> 3]
-                                              >> (i & 7)) & 1])
-                    if record_translation is not None:
-                        record_translation(result[0])
-                        if result[1]:
-                            record_penalty(result[2])
-                    if record_window is not None:
-                        record_window(result[0], result[1], result[2])
-                    if verifier_active:
-                        on_verify(result)
-                    references += 1
-                    if warming:
-                        last_icount[core] = icounts[i]
-                    if references >= stop_at:
-                        stopped = True
-                        break
-                if hi > lo:
-                    last_icount[core] = icounts[i]
-                if stopped:
-                    break
-                continue
-            refs = stream.references
-            ref = None
-            for i in range(lo, hi):
-                ref = refs[i]
+        fired = 0
+        start = 0
+        while True:
+            while fired < len(queue) and queue[fired].position <= start:
+                queue[fired].apply(self)
+                fired += 1
+            # (Re-)resolved lazily, so an event's effect is always seen.
+            infos: List[Optional[tuple]] = [None] * len(streams)
+            current = -1
+            stop = (min(queue[fired].position, total)
+                    if fired < len(queue) else total)
+            for source, i in zip(sources[start:stop], positions[start:stop]):
+                if source != current:
+                    current = source
+                    info = infos[source]
+                    if info is None:
+                        info = infos[source] = self._stream_info(
+                            streams[source])
+                    (core, ctx, large_get, small_get, touch_slow,
+                     icounts, vaddrs, writebits) = info
                 if warming:
                     if warmup_remaining:
                         key = -1 if -1 in warmup_remaining else core
@@ -438,7 +363,7 @@ class Machine:
                         warmup_boundary = dict(last_icount)
                 if faults_active:
                     on_translation()
-                vaddr = ref[1]
+                vaddr = vaddrs[i]
                 page = large_get(vaddr >> _LARGE_SHIFT)
                 if page is None:
                     page = small_get(vaddr >> _SMALL_SHIFT)
@@ -448,7 +373,9 @@ class Machine:
                 translation_cycles += result[0]
                 hpa = page[2] | (vaddr & (_LARGE_MASK if page[0]
                                           else _SMALL_MASK))
-                data_cycles += data_access(core, hpa, is_write=ref[2])
+                data_cycles += data_access(
+                    core, hpa,
+                    is_write=_WRITE_BOOL[(writebits[i >> 3] >> (i & 7)) & 1])
                 if record_translation is not None:
                     record_translation(result[0])
                     if result[1]:
@@ -458,66 +385,22 @@ class Machine:
                 if verifier_active:
                     on_verify(result)
                 references += 1
-                if warming:
-                    # The warmup-reset boundary snapshots last_icount, so
-                    # it must be exact per reference until warm-up ends;
-                    # afterwards the chunk-end flush below suffices.
-                    last_icount[core] = ref[0]
+                last_icount[core] = icounts[i]
                 if references >= stop_at:
                     stopped = True
                     break
-            if ref is not None:
-                last_icount[core] = ref[0]
             if stopped:
+                break
+            start = stop
+            if start >= total:
+                # Events at or past the end of the trace fire after the
+                # last reference (e.g. the final generation's teardowns).
+                for event in queue[fired:]:
+                    event.apply(self)
                 break
         if warming:
             raise ValueError(
                 f"warmup ({warmup_references}) consumed the whole trace")
-        return self._finish_run(references, translation_cycles, data_cycles,
-                                last_icount, warmup_boundary)
-
-    def _chunks_with_events(self, chunks, pending: List, infos: Dict):
-        """Split interleaved chunks at event positions and fire them.
-
-        Yields the same ``(stream, lo, hi)`` chunks as
-        :func:`~repro.workloads.trace.interleave_batched`, cut so every
-        scheduled event fires exactly *between* two references of the
-        global merge.  After an event fires the hoisted per-stream info
-        cache is cleared: a destroyed VM's page dicts and packed-context
-        are dead, and the next chunk must re-resolve them (recreating
-        the VM on demand for migration-style scenarios).
-        """
-        queue = list(pending)
-        queue.reverse()  # pop() from the end yields earliest-first
-        position = 0
-        for stream, lo, hi in chunks:
-            while queue and queue[-1].position < position + (hi - lo):
-                cut = lo + (queue[-1].position - position)
-                if cut > lo:
-                    yield stream, lo, cut
-                position += cut - lo
-                lo = cut
-                while queue and queue[-1].position == position:
-                    queue.pop().apply(self)
-                infos.clear()
-            if hi > lo:
-                yield stream, lo, hi
-                position += hi - lo
-        # Events scheduled at or past the end of the trace fire after
-        # the last reference (e.g. the final generation's teardowns).
-        while queue:
-            queue.pop().apply(self)
-
-    def _finish_run(self, references: int, translation_cycles: int,
-                    data_cycles: int, last_icount: Dict[int, int],
-                    warmup_boundary: Dict[int, int]) -> SimulationResult:
-        """Fold the replay-loop tallies into a :class:`SimulationResult`.
-
-        Shared by the scalar loop and the batched engine
-        (:func:`repro.core.batch.try_replay`), which produce the exact
-        same five tallies.
-        """
-        windows = self.obs.windows
         if windows is not None:
             windows.finish()
         instructions = sum(
@@ -534,11 +417,11 @@ class Machine:
             data_cycles=data_cycles,
             page_walks=int(mmu_stats["page_walks"]),
             stats=self.stats,
-            histograms=self.obs.histograms,
+            histograms=histograms,
             windows=windows,
         )
-        if self.verifier.active:
-            self.verifier.finish(self, result)
+        if verifier_active:
+            verifier.finish(self, result)
         return result
 
     # -- OS-visible operations --------------------------------------------------

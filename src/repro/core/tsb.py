@@ -31,11 +31,6 @@ _SPREAD = 0x9E37
 class TranslationStorageBuffer:
     """Functional content + entry addressing of the two TSB halves."""
 
-    #: Batch-replay contract (:mod:`repro.core.batch`): resolving a miss
-    #: through this structure never touches another core's L1 TLB or L1
-    #: data cache (see :class:`repro.core.pom_tlb.PomTlb`).
-    L1_PRIVATE = True
-
     def __init__(self, config: TsbConfig, stats: StatGroup) -> None:
         self.config = config
         self.stats = stats

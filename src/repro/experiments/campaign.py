@@ -382,9 +382,8 @@ def _run_all_inner(params, names, requests, out, progress,
         out.flush()
 
     # Only simulation-relevant fields go into the header: execution
-    # knobs (workers, timeouts, verify, batch engine) can never change
-    # the report, so two campaigns that differ only in how they ran
-    # stay byte-identical.
+    # knobs (workers, timeouts, verify) can never change the report, so
+    # two campaigns that differ only in how they ran stay byte-identical.
     sim_params = ", ".join(f"{name}={value!r}" for name, value
                            in params.checkpoint_fields().items())
     out.write(f"# POM-TLB evaluation campaign\n"

@@ -12,11 +12,6 @@ run different benchmarks, so no single Eq. 2-5 anchor applies — the
 :mod:`.consolidation` convention); the shootdown sweep runs one
 benchmark and anchors each rate with Eq. 2-5, giving the
 speedup-vs-shootdown-rate curve per scheme.
-
-Mid-run lifecycle events force the scalar engine (the batch engine
-declines with ``batch_fallback_reason`` rather than replay them
-unsoundly), so every study here is engine-independent by construction;
-the rate-0 sweep column still batches and stays bit-identical.
 """
 
 from __future__ import annotations
@@ -24,12 +19,10 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from ..common.config import PomTlbConfig, SystemConfig
-from ..core.batch import HAS_NUMPY
 from ..core.perfmodel import estimate
 from ..core.system import Machine
 from ..workloads.lifecycle import (LifecycleWorkload, build_churn,
                                    build_migration, build_shootdown_storm)
-from ..workloads.packed import pack_stream
 from ..workloads.suite import get_profile
 from .report import Report
 from .runner import ExperimentParams
@@ -65,16 +58,11 @@ def _run_scenario(workload: LifecycleWorkload, scheme: str,
 
     Returns ``(result, machine)``.  Mirrors
     :func:`~repro.experiments.runner.simulate_run`'s machine
-    construction so verify/batch semantics are identical everywhere.
+    construction so verify semantics are identical everywhere.
     """
     config = SystemConfig(
         num_cores=workload.num_cores,
         pom_tlb=PomTlbConfig(size_bytes=params.pom_size_bytes))
-    streams = workload.streams
-    if params.batch and HAS_NUMPY and not workload.events:
-        streams = [stream if getattr(stream, "columns", None) is not None
-                   else pack_stream(stream, validated=True)
-                   for stream in streams]
     events = workload.events
     if samples is not None:
         events = [_Recorded(e, samples) if e.kind == "destroy_vm" else e
@@ -82,10 +70,9 @@ def _run_scenario(workload: LifecycleWorkload, scheme: str,
     machine = Machine(config, scheme=scheme,
                       thp_fractions=workload.thp_fractions,
                       seed=params.seed,
-                      verify=params.verify or None,
-                      batch=params.batch)
+                      verify=params.verify or None)
     result = machine.run(
-        streams,
+        workload.streams,
         warmup_references=workload.warmup_by_core
         or workload.warmup_references,
         events=events)
@@ -169,8 +156,7 @@ def shootdown_sweep(params: Optional[ExperimentParams] = None,
 
     One guest, a periodic storm shooting down recently-touched pages at
     each rate; cells are Eq. 2-5 improvement % over the anchored
-    baseline.  Rate 0 is the no-interference control (and the one row
-    the batch engine may replay — results are bit-identical either way).
+    baseline.  Rate 0 is the no-interference control.
     """
     params = params or ExperimentParams()
     scheme_list = list(schemes)

@@ -16,12 +16,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..common import addr
 from ..common.config import PomTlbConfig, PredictorConfig, SystemConfig
 from ..common.errors import ConfigError, RunFailed
-from ..core.batch import HAS_NUMPY, resolve_batch_flag
 from ..core.perfmodel import PerformanceEstimate, estimate
 from ..core.system import Machine, SimulationResult
 from ..faults import RaiseAtTranslation, corrupt_streams
 from ..obs import Observability
-from ..workloads.packed import pack_stream
 from ..workloads.suite import BENCHMARKS, get_profile
 from ..workloads.trace import validate_stream
 
@@ -74,10 +72,8 @@ class ExperimentParams:
     #: verified runs are bit-identical to unverified ones, so this is an
     #: execution knob and never enters the checkpoint key
     verify: bool = False
-    #: replay through the vectorized batch engine (:mod:`repro.core.batch`)
-    #: when it applies; batch and scalar replays are bit-identical, so
-    #: this too is an execution knob (``--no-batch`` / ``POMTLB_BATCH=0``
-    #: force the scalar loop, e.g. for differential debugging)
+    #: accepted and ignored: there is one replay loop (kept so callers
+    #: and scripts that pass ``batch=False`` / ``--no-batch`` still run)
     batch: bool = True
 
     @classmethod
@@ -94,7 +90,6 @@ class ExperimentParams:
             "scale": _env_value("POMTLB_SCALE", 1.0, float),
             "seed": _env_value("POMTLB_SEED", 42, int),
             "workers": _env_value("POMTLB_WORKERS", 0, int),
-            "batch": resolve_batch_flag(),
         }
         env.update(overrides)
         return cls(**env)
@@ -169,24 +164,14 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
             validate_stream(stream)
     machine_faults = (RaiseAtTranslation(fault[1])
                       if fault is not None and fault[0] == "raise" else None)
-    streams = workload.streams
-    if params.batch and HAS_NUMPY:
-        # The batch engine consumes columnar streams; workload-cache
-        # attaches already are packed, fresh builds are columnarised
-        # here (validated just above, so the flag is trustworthy).
-        # Packed and tuple streams replay bit-identically either way.
-        streams = [stream if getattr(stream, "columns", None) is not None
-                   else pack_stream(stream, validated=True)
-                   for stream in streams]
     machine = Machine(params.system_config(), scheme=scheme,
                       thp_large_fraction=profile.thp_large_fraction,
                       seed=params.seed,
                       tlb_priority=params.tlb_priority,
                       obs=obs, faults=machine_faults,
-                      verify=params.verify or None,
-                      batch=params.batch)
+                      verify=params.verify or None)
     result = machine.run(
-        streams,
+        workload.streams,
         warmup_references=workload.warmup_by_core
         or workload.warmup_references)
     anchor = profile.anchor(virtualized=params.virtualized)

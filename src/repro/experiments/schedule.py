@@ -23,12 +23,10 @@ import json
 import os
 from typing import Callable, Dict, Optional
 
-#: refs/sec per scheme measured on the reference machine (the committed
-#: BENCH_engine.json at the time this module was written — batch-engine
-#: cold-run rates, since campaign runs are cold and use the batch
-#: engine when numpy is present); used when no benchmark results file
-#: is on disk.  Relative magnitudes are what matter: shared_l2 runs
-#: ~2x faster than the POM variants.
+#: Cold-run refs/sec per scheme, as an earlier BENCH_engine.json
+#: recorded them; used when no benchmark results file is on disk.  Only
+#: the relative magnitudes matter (they order runs longest-first):
+#: shared_l2 runs ~2x faster than the POM variants.
 DEFAULT_REFS_PER_SEC: Dict[str, float] = {
     "baseline": 7800.0,
     "pom": 5400.0,

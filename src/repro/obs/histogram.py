@@ -43,27 +43,6 @@ class LogHistogram:
         if self.min is None or value < self.min:
             self.min = value
 
-    def record_many(self, value: int, n: int) -> None:
-        """Count ``n`` observations of the same ``value`` in O(1).
-
-        Exactly equivalent to calling :meth:`record` ``n`` times — every
-        aggregate (buckets, count, total, min, max) is order-independent
-        — which is what lets the batched replay engine account a whole
-        slice of constant-latency hits at once.
-        """
-        if n <= 0:
-            return
-        if value < 0:
-            value = 0
-        bucket = int(value).bit_length()
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + n
-        self.count += n
-        self.total += value * n
-        if value > self.max:
-            self.max = value
-        if self.min is None or value < self.min:
-            self.min = value
-
     # -- derived metrics ----------------------------------------------------
 
     @property

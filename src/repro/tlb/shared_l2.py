@@ -26,11 +26,6 @@ from .tlb import SramTlb
 class SharedLastLevelTlb:
     """One SRAM TLB shared by every core."""
 
-    #: Batch-replay contract (:mod:`repro.core.batch`): resolving a miss
-    #: through this structure never touches another core's L1 TLB or L1
-    #: data cache (see :class:`repro.core.pom_tlb.PomTlb`).
-    L1_PRIVATE = True
-
     def __init__(self, config: SharedL2Config, num_cores: int,
                  stats: StatGroup) -> None:
         self.config = config

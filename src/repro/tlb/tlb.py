@@ -109,21 +109,6 @@ class SramTlb:
         slot.touched = True
         return evicted
 
-    # -- batch-replay support -------------------------------------------------
-
-    def batch_view(self) -> Tuple[Tuple[Dict[int, TlbEntry], ...], int, int]:
-        """``(sets, set_mask, ways)`` for the batched replay engine.
-
-        :mod:`repro.core.batch` vectorizes :meth:`_set_index` over whole
-        vaddr columns with numpy and then probes the **live** set dicts
-        directly, replicating :meth:`lookup`'s hit path (delete +
-        reinsert, hits counter) bit-identically.  Exposing the storage
-        through one accessor keeps that engine honest about what it
-        depends on: dict-per-set storage in recency order, the
-        :meth:`_set_index` hash, and ``ways``-bounded sets.
-        """
-        return self._sets, self._set_mask, self._ways
-
     # -- invalidation (TLB shootdown support) -------------------------------
 
     def invalidate_page(self, key: int) -> bool:

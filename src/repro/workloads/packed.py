@@ -261,6 +261,13 @@ def pack_stream(stream, validated: bool = False) -> PackedStream:
                         validated=validated)
 
 
+def as_packed(stream) -> PackedStream:
+    """``stream`` itself if it still has its columns, else a packed copy."""
+    if isinstance(stream, PackedStream) and stream.columns() is not None:
+        return stream
+    return pack_stream(stream)
+
+
 def unpack_stream(stream: PackedStream):
     """The list-backed :class:`CoreStream` equivalent of ``stream``."""
     from .trace import CoreStream
@@ -346,11 +353,7 @@ def encode_streams(streams: Sequence, benchmark: str = "",
     table = bytearray()
     payload = bytearray()
     total = 0
-    packed_streams: List[PackedStream] = []
-    for stream in streams:
-        packed = (stream if isinstance(stream, PackedStream)
-                  and stream.columns() is not None else pack_stream(stream))
-        packed_streams.append(packed)
+    packed_streams = [as_packed(stream) for stream in streams]
     for packed in packed_streams:
         count = len(packed)
         total += count

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import gzip
 import io
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, NamedTuple, Sequence
+from itertools import islice, repeat
+from operator import add, floordiv, le, mod, mul
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..common.errors import TraceFormatError
 
@@ -178,8 +181,6 @@ def load_stream_packed(path: str):
     converting a large trace never holds it as Python objects — this is
     what ``pomtlb trace pack`` runs.
     """
-    from array import array
-
     from .packed import PackedStream
 
     with _open(path, "r") as inp:
@@ -261,58 +262,35 @@ def interleave(streams: Iterable[CoreStream]) -> Iterator[tuple]:
             heapq.heappush(heap, (nxt.icount, stream.core, index, nxt))
 
 
-def interleave_batched(streams: Iterable[CoreStream]) -> Iterator[tuple]:
-    """Merge streams like :func:`interleave`, but yield runs as chunks.
+def merge_order(streams: Sequence[CoreStream]) -> Tuple[array, array]:
+    """The global replay order of ``streams``, computed once.
 
-    Yields ``(stream, lo, hi)`` where ``stream.references[lo:hi]`` is a
-    maximal run of consecutive references that :func:`interleave` would
-    deliver back-to-back from the same stream.  Flattening the chunks
-    reproduces the exact :func:`interleave` order — ties still break by
-    core id, then by stream arrival order.  The simulator's hot loop
-    consumes chunks so per-stream constants (core, packed context, page
-    maps) are hoisted out of the per-reference path.
+    Returns two compact columns ``(sources, positions)``: the k-th
+    reference replayed is ``streams[sources[k]].references[positions[k]]``.
+    References sort by (icount, core, stream index, position), which for
+    non-decreasing per-stream icounts is exactly :func:`interleave`'s
+    heap order.  A stream whose icounts decrease raises ``ValueError``.
     """
-    import heapq
-
-    sources = []
-    positions = []
-    heap = []
-    for stream in streams:
-        refs = stream.references
-        if len(refs):
-            # Packed streams expose their icount column; keying chunk
-            # boundaries off it skips MemoryReference materialization.
-            icounts = getattr(stream, "icounts", None)
-            if icounts is None:
-                first = refs[0].icount
-            else:
-                first = icounts[0]
-            heap.append((first, stream.core, len(sources)))
-            sources.append((stream, refs, icounts, len(refs)))
-            positions.append(0)
-    heapq.heapify(heap)
-    while heap:
-        _icount, core, index = heapq.heappop(heap)
-        stream, refs, icounts, length = sources[index]
-        lo = positions[index]
-        hi = lo + 1
-        if heap:
-            # Nothing is pushed until this chunk closes, so the head is
-            # fixed; extend while our next reference still sorts first.
-            # Strict '<' is exact: full tuples never compare equal
-            # (stream indices are unique).
-            head = heap[0]
-            if icounts is None:
-                while hi < length and (refs[hi].icount, core, index) < head:
-                    hi += 1
-            else:
-                while hi < length and (icounts[hi], core, index) < head:
-                    hi += 1
-        else:
-            hi = length
-        positions[index] = hi
-        yield stream, lo, hi
-        if hi < length:
-            nxt = refs[hi].icount if icounts is None else icounts[hi]
-            heapq.heappush(heap, (nxt, core, index))
-
+    # Rank streams by (core, index); a reference's key is then the one
+    # integer (icount * width + rank) * span + position, so the whole
+    # sort runs in C over ints instead of a list of tuples.
+    ranked = sorted(range(len(streams)),
+                    key=lambda index: (streams[index].core, index))
+    width = len(streams)
+    span = max((len(stream) for stream in streams), default=0)
+    keys: List[int] = []
+    for rank, index in enumerate(ranked):
+        stream = streams[index]
+        icounts = getattr(stream, "icounts", None)
+        if icounts is None:
+            icounts = [ref[0] for ref in stream.references]
+        if not all(map(le, icounts, islice(icounts, 1, None))):
+            raise ValueError(f"stream {index} (core {stream.core}): "
+                             "instruction counts decrease")
+        keys.extend(map(add, map(mul, icounts, repeat(width * span)),
+                        range(rank * span, rank * span + len(icounts))))
+    keys.sort()
+    positions = array("I", map(mod, keys, repeat(span)))
+    ranks = map(mod, map(floordiv, keys, repeat(span)), repeat(width))
+    sources = array("I", map(ranked.__getitem__, ranks))
+    return sources, positions

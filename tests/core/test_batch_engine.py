@@ -1,31 +1,29 @@
-"""Edge cases of the vectorized batch-replay engine (repro.core.batch).
+"""Edge cases of the replay loop (``Machine.run``).
 
 The integration suite (tests/integration/test_engine_equivalence.py)
-holds the batch engine bit-identical to the frozen reference at
-workload scale.  This module aims at the seams instead: slice
-boundaries, warmup resets landing mid-slice, invalidations between
-runs, degenerate streams, the fallback ladder (numpy absent, tuple
-streams, explicit disable), and the lexsort-vs-heap-merge order
-equivalence the whole design rests on.
+holds the loop bit-identical to the frozen reference at workload scale.
+This module aims at the seams instead: a warm-up reset and a
+``max_references`` cap landing mid-stream, degenerate streams,
+invalidations between runs, tuple vs packed input, the merge order the
+loop replays, and exactly where scheduled events fire.
 
-Everything here compares against the scalar ``Machine`` loop, which is
-the semantics of record (itself pinned to ``repro.core.refcheck`` by
-the integration suite).
+Event-free cases compare against :mod:`repro.core.refcheck`; cases the
+reference cannot model (shootdown, teardown) compare against counters
+recorded from the engine they replaced.
 """
+
+from dataclasses import replace
 
 import pytest
 
-import repro.core.batch as batch_mod
-from repro.core.batch import HAS_NUMPY, resolve_batch_flag
+from repro.core.refcheck import ReferenceMachine
 from repro.core.system import Machine
-from repro.experiments.runner import ExperimentParams
+from repro.experiments.runner import ExperimentParams, simulate_run
+from repro.workloads.lifecycle import LifecycleEvent
 from repro.workloads.packed import pack_stream
 from repro.workloads.suite import get_profile
-from repro.workloads.trace import (CoreStream, MemoryReference,
-                                   interleave_batched)
-
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy unavailable (pomtlb[fast] not installed)")
+from repro.workloads.trace import (CoreStream, MemoryReference, interleave,
+                                   merge_order)
 
 PARAMS = ExperimentParams(num_cores=2, refs_per_core=700, scale=0.1, seed=11)
 
@@ -42,108 +40,52 @@ def _workload(params=PARAMS, benchmark="gups"):
     return profile, workload
 
 
-def _machine(profile, scheme="pom", params=PARAMS, batch=True, **kwargs):
+def _machine(profile, scheme="pom", params=PARAMS, **kwargs):
     return Machine(params.system_config(), scheme=scheme,
                    thp_large_fraction=profile.thp_large_fraction,
-                   seed=params.seed, batch=batch, **kwargs)
+                   seed=params.seed, **kwargs)
 
 
-def _assert_same(scalar, batched):
+def _reference(profile, scheme="pom", params=PARAMS):
+    return ReferenceMachine(params.system_config(), scheme=scheme,
+                            thp_large_fraction=profile.thp_large_fraction,
+                            seed=params.seed)
+
+
+def _assert_same(expected, result):
     for field in RESULT_FIELDS:
-        assert getattr(batched, field) == getattr(scalar, field), field
-    assert (batched.stats.as_nested_dict()
-            == scalar.stats.as_nested_dict())
+        assert getattr(result, field) == getattr(expected, field), field
+    assert (result.stats.as_nested_dict()
+            == expected.stats.as_nested_dict())
 
 
-# -- slice boundaries ------------------------------------------------------
+def _warmup(workload):
+    return workload.warmup_by_core or workload.warmup_references
 
 
-@needs_numpy
-def test_warmup_reset_mid_slice(monkeypatch):
-    """A warmup boundary inside a slice must reset tallies exactly.
+# -- refcheck equivalence at the seams -------------------------------------
 
-    Shrinking the slice makes every boundary interior: warmup ends
-    mid-slice, streams debut mid-slice, and the run end truncates a
-    slice, all within a workload that stays test-sized.
-    """
-    monkeypatch.setattr(batch_mod, "_SLICE", 64)
+
+def test_warmup_reset_mid_slice():
+    """The warm-up reset lands mid-stream and zeroes tallies exactly."""
     profile, workload = _workload()
-    warm = workload.warmup_by_core or workload.warmup_references
+    warm = _warmup(workload)
     assert warm, "workload must actually exercise the warmup reset"
-    scalar = _machine(profile, batch=False).run(
-        workload.streams, warmup_references=warm)
-    machine = _machine(profile)
-    batched = machine.run([pack_stream(s) for s in workload.streams],
-                          warmup_references=warm)
-    assert machine.last_replay_mode == "batch"
-    _assert_same(scalar, batched)
+    reference = _reference(profile).run(workload.streams,
+                                        warmup_references=warm)
+    _assert_same(reference, _machine(profile).run(
+        workload.streams, warmup_references=warm))
 
 
-@needs_numpy
-def test_max_references_truncates_identically(monkeypatch):
-    monkeypatch.setattr(batch_mod, "_SLICE", 50)
+def test_max_references_truncates_identically():
     profile, workload = _workload()
-    # A cap that lands mid-slice and mid-stream.
+    # A cap that lands mid-stream.
     cap = sum(len(s) for s in workload.streams) // 3 + 7
-    scalar = _machine(profile, batch=False).run(
-        workload.streams, max_references=cap)
-    machine = _machine(profile)
-    batched = machine.run([pack_stream(s) for s in workload.streams],
-                          max_references=cap)
-    assert machine.last_replay_mode == "batch"
-    assert batched.references == scalar.references
-    _assert_same(scalar, batched)
-
-
-# -- invalidations between runs -------------------------------------------
-
-
-@needs_numpy
-@pytest.mark.parametrize("scheme", ("pom", "tsb", "shared_l2"))
-def test_shootdown_between_runs(scheme):
-    """TLB shootdown state must replay identically on the next run."""
-    profile, workload = _workload()
-    warm = workload.warmup_by_core or workload.warmup_references
-    packed = [pack_stream(s) for s in workload.streams]
-    target = workload.streams[0]
-    vaddr = target.references[0].vaddr
-
-    scalar_m = _machine(profile, scheme=scheme, batch=False)
-    scalar_m.run(workload.streams, warmup_references=warm)
-    scalar_m.shootdown(target.vm_id, target.asid, vaddr)
-    scalar = scalar_m.run(workload.streams, warmup_references=warm)
-
-    batch_m = _machine(profile, scheme=scheme)
-    batch_m.run(packed, warmup_references=warm)
-    batch_m.shootdown(target.vm_id, target.asid, vaddr)
-    batched = batch_m.run(packed, warmup_references=warm)
-    assert batch_m.last_replay_mode == "batch"
-    _assert_same(scalar, batched)
-
-
-@needs_numpy
-def test_invalidate_vm_between_runs():
-    """A whole-VM invalidation (teardown) between runs stays identical."""
-    profile, workload = _workload()
-    warm = workload.warmup_by_core or workload.warmup_references
-    packed = [pack_stream(s) for s in workload.streams]
-    vm_id = workload.streams[0].vm_id
-
-    scalar_m = _machine(profile, batch=False)
-    scalar_m.run(workload.streams, warmup_references=warm)
-    dropped_scalar = scalar_m.invalidate_vm(vm_id)
-    scalar = scalar_m.run(workload.streams, warmup_references=warm)
-
-    batch_m = _machine(profile)
-    batch_m.run(packed, warmup_references=warm)
-    dropped_batch = batch_m.invalidate_vm(vm_id)
-    batched = batch_m.run(packed, warmup_references=warm)
-    assert batch_m.last_replay_mode == "batch"
-    assert dropped_batch == dropped_scalar
-    _assert_same(scalar, batched)
-
-
-# -- degenerate streams ----------------------------------------------------
+    reference = _reference(profile).run(workload.streams,
+                                        max_references=cap)
+    result = _machine(profile).run(workload.streams, max_references=cap)
+    assert result.references == cap
+    _assert_same(reference, result)
 
 
 def _tiny_stream(core=0, vm_id=1, asid=1, refs=()):
@@ -151,147 +93,212 @@ def _tiny_stream(core=0, vm_id=1, asid=1, refs=()):
                       references=[MemoryReference(*r) for r in refs])
 
 
-@needs_numpy
 def test_single_reference_stream():
     profile, _ = _workload()
     streams = [_tiny_stream(refs=[(0, 0x1234, False)])]
-    scalar = _machine(profile, batch=False).run(streams)
-    machine = _machine(profile)
-    batched = machine.run([pack_stream(s) for s in streams])
-    assert machine.last_replay_mode == "batch"
-    assert batched.references == 1
-    _assert_same(scalar, batched)
+    result = _machine(profile).run(streams)
+    assert result.references == 1
+    _assert_same(_reference(profile).run(streams), result)
 
 
-@needs_numpy
 def test_empty_streams_fall_back_to_scalar():
-    """All-empty input declines cleanly (and still counts nothing)."""
+    """All-empty input replays nothing and counts nothing."""
     profile, _ = _workload()
+    streams = [_tiny_stream(), _tiny_stream(core=1)]
     machine = _machine(profile)
-    result = machine.run([pack_stream(_tiny_stream())])
-    assert machine.last_replay_mode == "scalar"
-    assert machine.batch_fallback_reason == "no non-empty streams"
+    result = machine.run(streams)
     assert result.references == 0
+    assert machine.last_replay_mode == "scalar"
+    _assert_same(_reference(profile).run(streams), result)
 
 
-@needs_numpy
 def test_empty_stream_beside_live_stream():
     profile, _ = _workload()
     streams = [_tiny_stream(core=0),
                _tiny_stream(core=1, refs=[(0, 0x2000, False),
                                           (3, 0x4000, True)])]
-    scalar = _machine(profile, batch=False).run(streams)
+    _assert_same(_reference(profile).run(streams),
+                 _machine(profile).run(streams))
+
+
+# -- invalidations between runs --------------------------------------------
+#
+# Second-run counters (no warm-up, so the invalidation shows) and the
+# shootdown cost / dropped count, as the replaced engine produced them.
+
+_SHOOTDOWN_BETWEEN_RUNS = {
+    "pom": dict(cost=256, references=4264, instructions=21320,
+                l2_tlb_misses=1, penalty_cycles=836,
+                translation_cycles=34431, data_cycles=665915,
+                page_walks=1),
+    "tsb": dict(cost=331, references=4264, instructions=21320,
+                l2_tlb_misses=1, penalty_cycles=1086,
+                translation_cycles=34681, data_cycles=665795,
+                page_walks=1),
+    "shared_l2": dict(cost=121, references=4264, instructions=21320,
+                      l2_tlb_misses=1, penalty_cycles=15370,
+                      translation_cycles=47373, data_cycles=665795,
+                      page_walks=1),
+}
+
+_INVALIDATE_VM_BETWEEN_RUNS = dict(
+    dropped=2864, references=4264, instructions=21320, l2_tlb_misses=2864,
+    penalty_cycles=390103, translation_cycles=423734, data_cycles=688279,
+    page_walks=2864)
+
+
+def _counters(result, **extra):
+    return dict(extra, **{field: getattr(result, field)
+                          for field in RESULT_FIELDS[1:]})
+
+
+@pytest.mark.parametrize("scheme", ("pom", "tsb", "shared_l2"))
+def test_shootdown_between_runs(scheme):
+    """TLB shootdown state replays into the next run as recorded."""
+    profile, workload = _workload()
+    target = workload.streams[0]
+    machine = _machine(profile, scheme=scheme)
+    machine.run(workload.streams, warmup_references=_warmup(workload))
+    cost = machine.shootdown(target.vm_id, target.asid,
+                             target.references[0].vaddr)
+    second = machine.run(workload.streams)
+    assert (_counters(second, cost=cost)
+            == _SHOOTDOWN_BETWEEN_RUNS[scheme])
+
+
+def test_invalidate_vm_between_runs():
+    """A whole-VM invalidation (teardown) between runs, as recorded."""
+    profile, workload = _workload()
     machine = _machine(profile)
-    batched = machine.run([pack_stream(s) for s in streams])
-    assert machine.last_replay_mode == "batch"
-    _assert_same(scalar, batched)
+    machine.run(workload.streams, warmup_references=_warmup(workload))
+    dropped = machine.invalidate_vm(workload.streams[0].vm_id)
+    second = machine.run(workload.streams)
+    assert _counters(second, dropped=dropped) == _INVALIDATE_VM_BETWEEN_RUNS
 
 
-# -- fallback ladder -------------------------------------------------------
+# -- input forms -----------------------------------------------------------
 
 
 def test_tuple_streams_fall_back():
-    """Un-packed (tuple) streams take the scalar loop, same results."""
+    """Tuple streams are packed on entry: same results as packed input."""
     profile, workload = _workload()
-    machine = _machine(profile)
-    result = machine.run(workload.streams)
-    assert machine.last_replay_mode == "scalar"
-    if HAS_NUMPY:
-        assert "tuple streams" in machine.batch_fallback_reason
-    reference = _machine(profile, batch=False).run(workload.streams)
-    _assert_same(reference, result)
+    warm = _warmup(workload)
+    packed = [pack_stream(s) for s in workload.streams]
+    _assert_same(_machine(profile).run(packed, warmup_references=warm),
+                 _machine(profile).run(workload.streams,
+                                       warmup_references=warm))
 
 
 def test_batch_disabled_by_flag():
-    profile, workload = _workload()
-    machine = _machine(profile, batch=False)
-    machine.run([pack_stream(s) for s in workload.streams])
-    assert machine.last_replay_mode == "scalar"
-    assert machine.batch_fallback_reason == "batching disabled"
+    """``ExperimentParams.batch`` is accepted and changes nothing."""
+    small = replace(PARAMS, refs_per_core=300)
+    default = simulate_run("gups", "pom", small)
+    disabled = simulate_run("gups", "pom", replace(small, batch=False))
+    _assert_same(default.result, disabled.result)
 
 
-def test_numpy_absent_falls_back(monkeypatch):
-    """Simulate a numpy-less install: decline reason names the extra."""
-    monkeypatch.setattr(batch_mod, "_np", None)
-    profile, workload = _workload()
+def test_decreasing_icounts_rejected():
+    profile, _ = _workload()
+    streams = [_tiny_stream(refs=[(0, 0x1000, False), (5, 0x2000, False),
+                                  (4, 0x3000, False)])]
     machine = _machine(profile)
-    result = machine.run([pack_stream(s) for s in workload.streams])
-    assert machine.last_replay_mode == "scalar"
-    assert "numpy unavailable" in machine.batch_fallback_reason
-    assert "pomtlb[fast]" in machine.batch_fallback_reason
-    reference = _machine(profile, batch=False).run(
-        [pack_stream(s) for s in workload.streams])
-    _assert_same(reference, result)
-
-
-def test_resolve_batch_flag(monkeypatch):
-    monkeypatch.delenv("POMTLB_BATCH", raising=False)
-    assert resolve_batch_flag() is True
-    assert resolve_batch_flag(False) is False
-    for raw, expected in (("0", False), ("false", False), ("no", False),
-                          ("off", False), ("", False), ("1", True),
-                          ("true", True), ("yes", True)):
-        monkeypatch.setenv("POMTLB_BATCH", raw)
-        assert resolve_batch_flag() is expected, raw
-    monkeypatch.setenv("POMTLB_BATCH", "0")
-    assert resolve_batch_flag(True) is True  # explicit flag beats env
+    with pytest.raises(ValueError, match="instruction counts decrease"):
+        machine.run(streams)
+    assert not machine.host.vms, "rejected before any reference replayed"
 
 
 # -- merge-order property --------------------------------------------------
 
 
-@needs_numpy
 def test_lexsort_order_matches_heap_merge():
-    """np.lexsort((source, core, icount)) == the scalar k-way merge.
+    """merge_order's one sort == interleave's k-way heap merge.
 
-    The batch engine's global replay order is a stable lexsort; the
-    scalar loop's is interleave_batched's heap merge.  Build streams
-    with heavy icount ties across cores and within a core (two streams
-    sharing core 1) and require the flattened orders to agree exactly.
+    Heavy icount ties across cores and within a core (two streams
+    sharing core 1), one empty stream, and mixed tuple/packed input;
+    the orders must agree reference for reference.
     """
-    import numpy as np
-
     streams = [
-        _tiny_stream(core=0, asid=1,
-                     refs=[(0, 0x1000, False), (5, 0x2000, False),
-                           (5, 0x3000, False), (9, 0x4000, False)]),
         _tiny_stream(core=1, asid=2,
                      refs=[(0, 0x5000, False), (5, 0x6000, False),
                            (7, 0x7000, False)]),
-        _tiny_stream(core=1, asid=3,
-                     refs=[(5, 0x8000, False), (5, 0x9000, False),
-                           (9, 0xA000, False)]),
+        _tiny_stream(core=0, asid=1,
+                     refs=[(0, 0x1000, False), (5, 0x2000, False),
+                           (5, 0x3000, False), (9, 0x4000, False)]),
+        _tiny_stream(core=2, asid=4),
+        pack_stream(_tiny_stream(core=1, asid=3,
+                                 refs=[(5, 0x8000, False), (5, 0x9000, True),
+                                       (9, 0xA000, False)])),
     ]
-    merged = []
-    for stream, lo, hi in interleave_batched(streams):
-        for ref in stream.references[lo:hi]:
-            merged.append((ref.icount, stream.core, ref.vaddr))
+    sources, positions = merge_order(streams)
+    ordered = [(id(streams[s]), streams[s].references[i])
+               for s, i in zip(sources, positions)]
+    assert ordered == [(id(stream), ref)
+                       for stream, ref in interleave(streams)]
 
-    ic = np.concatenate([np.array([r.icount for r in s.references],
-                                  dtype=np.uint64) for s in streams])
-    cores = np.concatenate([np.full(len(s), s.core, dtype=np.int16)
-                            for s in streams])
-    src = np.concatenate([np.full(len(s), i, dtype=np.int16)
-                          for i, s in enumerate(streams)])
-    va = np.concatenate([np.array([r.vaddr for r in s.references],
-                                  dtype=np.uint64) for s in streams])
-    order = np.lexsort((src, cores, ic))
-    lexsorted = [(int(ic[i]), int(cores[i]), int(va[i])) for i in order]
-    assert lexsorted == merged
+
+# -- event positions -------------------------------------------------------
+
+
+class _Probe:
+    """Event that records how many references were replayed before it."""
+
+    def __init__(self, position, seen):
+        self.position = position
+        self._seen = seen
+
+    def apply(self, machine):
+        self._seen.append((self.position, machine.translated))
+
+
+def _counting_machine(profile):
+    """A machine whose ``translated`` counts translations so far."""
+    machine = _machine(profile)
+    machine.translated = 0
+    translate = machine.scheme.translate_packed
+
+    def counted(*args):
+        machine.translated += 1
+        return translate(*args)
+
+    machine.scheme.translate_packed = counted
+    return machine
+
+
+def _probe_streams():
+    # Core 0 issues 0,1,2 then core 1 issues 3,4, then core 0 again: the
+    # replaced engine replayed this as chunks [0,3) [3,5) [5,6).
+    return [_tiny_stream(core=0, asid=1,
+                         refs=[(0, 0x1000, False), (1, 0x2000, False),
+                               (2, 0x3000, False), (9, 0x4000, False)]),
+            _tiny_stream(core=1, asid=2,
+                         refs=[(3, 0x5000, False), (4, 0x6000, False)])]
+
+
+@pytest.mark.parametrize("position", (0, 2, 3, 6, 9))
+def test_events_fire_after_exactly_position_references(position):
+    """0, mid-run, a former chunk boundary, the end, and past the end."""
+    profile, _ = _workload()
+    streams = _probe_streams()
+    total = sum(len(s) for s in streams)
+    seen = []
+    _counting_machine(profile).run(streams, events=[_Probe(position, seen)])
+    assert seen == [(position, min(position, total))]
+
+
+def test_events_never_fire_past_max_references():
+    profile, _ = _workload()
+    seen = []
+    events = [_Probe(p, seen) for p in (1, 3, 4, 6)]
+    result = _counting_machine(profile).run(_probe_streams(),
+                                            max_references=3, events=events)
+    assert result.references == 3
+    assert seen == [(1, 1)]
 
 
 # -- mid-run lifecycle events ----------------------------------------------
-#
-# The batch engine replays whole runs with no per-reference hook points,
-# so a run with scheduled mid-run events (shootdown storms, VM
-# teardowns) cannot batch soundly.  The contract: either the engine
-# would replay them bit-identically, or it declines with a recorded
-# ``batch_fallback_reason`` — never a silent divergence.
 
 
 def _storm_events(workload):
-    from repro.workloads.lifecycle import LifecycleEvent
-
     # Past the warmup prologue, so the fired shootdowns survive the
     # warmup-boundary stats reset and are visible in the results.
     warmup_total = sum(workload.warmup_by_core.values()) or \
@@ -306,54 +313,35 @@ def _storm_events(workload):
 
 
 def test_events_force_scalar_with_recorded_reason():
+    """Events replay on the one loop, tuple and packed input alike."""
     profile, workload = _workload()
-    warm = workload.warmup_by_core or workload.warmup_references
+    warm = _warmup(workload)
     events = _storm_events(workload)
-
-    batch_m = _machine(profile)
-    batched = batch_m.run(workload.streams, warmup_references=warm,
-                          events=events)
-    assert batch_m.last_replay_mode == "scalar"
-    assert batch_m.batch_fallback_reason == (
-        "mid-run lifecycle events scheduled")
-
-    scalar_m = _machine(profile, batch=False)
-    scalar = scalar_m.run(workload.streams, warmup_references=warm,
-                          events=events)
-    _assert_same(scalar, batched)
-    assert (batch_m.stats["mmu"]["shootdowns"]
-            == scalar_m.stats["mmu"]["shootdowns"] == 2)
-
-
-@needs_numpy
-def test_event_free_run_batches_after_declined_run():
-    """The decline is per run: the next event-free run batches again."""
-    profile, workload = _workload()
-    warm = workload.warmup_by_core or workload.warmup_references
-    packed = [pack_stream(s) for s in workload.streams]
-
     machine = _machine(profile)
-    machine.run(packed, warmup_references=warm,
-                events=_storm_events(workload))
+    result = machine.run(workload.streams, warmup_references=warm,
+                         events=events)
     assert machine.last_replay_mode == "scalar"
-    machine.run(packed, warmup_references=warm)
-    assert machine.last_replay_mode == "batch"
+    assert machine.stats["mmu"]["shootdowns"] == 2
+    packed = _machine(profile).run([pack_stream(s) for s in workload.streams],
+                                   warmup_references=warm, events=events)
+    _assert_same(result, packed)
 
 
 def test_destroy_vm_event_replays_identically():
-    """A mid-run teardown produces the same results however executed."""
-    from repro.workloads.lifecycle import LifecycleEvent
-
+    """A mid-run teardown re-boots the VM on its next reference."""
     profile, workload = _workload()
-    warm = workload.warmup_by_core or workload.warmup_references
+    warm = _warmup(workload)
     vm_id = workload.streams[0].vm_id
-    events = [LifecycleEvent(position=300, kind="destroy_vm", vm_id=vm_id)]
-
-    scalar_m = _machine(profile, batch=False)
-    scalar = scalar_m.run(workload.streams, warmup_references=warm,
-                          events=events)
-    batch_m = _machine(profile)
-    batched = batch_m.run(workload.streams, warmup_references=warm,
-                          events=events)
-    assert batch_m.last_replay_mode == "scalar"
-    _assert_same(scalar, batched)
+    position = (sum(workload.warmup_by_core.values())
+                or workload.warmup_references) + 100
+    events = [LifecycleEvent(position=position, kind="destroy_vm",
+                             vm_id=vm_id)]
+    machine = _machine(profile)
+    result = machine.run(workload.streams, warmup_references=warm,
+                         events=events)
+    assert vm_id in machine.host.vms, "the stream's next reference re-boots"
+    again = _machine(profile).run(workload.streams, warmup_references=warm,
+                                  events=events)
+    _assert_same(result, again)
+    plain = _machine(profile).run(workload.streams, warmup_references=warm)
+    assert result.page_walks > plain.page_walks

@@ -1,6 +1,4 @@
-"""Lifecycle studies: churn acceptance, sweep engine-identity, CLI."""
-
-import dataclasses
+"""Lifecycle studies: churn acceptance, shootdown sweep, CLI."""
 
 import pytest
 
@@ -83,18 +81,6 @@ class TestShootdownSweep:
         for row in report.rows:
             assert len(row) == 1 + len(ALL_SCHEMES)
 
-    def test_sweep_byte_identical_scalar_vs_batch(self):
-        """Engine independence: forcing the scalar loop renders the very
-        same report bytes as letting the batch engine take whatever it
-        soundly can (the rate-0 control row)."""
-        batch = shootdown_sweep(FAST, benchmark="gups", rates=(0.0, 10.0),
-                                schemes=ALL_SCHEMES)
-        scalar_params = dataclasses.replace(FAST, batch=False)
-        scalar = shootdown_sweep(scalar_params, benchmark="gups",
-                                 rates=(0.0, 10.0), schemes=ALL_SCHEMES)
-        assert batch.render() == scalar.render()
-        assert batch.to_json() == scalar.to_json()
-
     def test_storm_degrades_all_schemes(self):
         report = shootdown_sweep(FAST, benchmark="gups",
                                  rates=(0.0, 50.0),
@@ -122,6 +108,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "Shootdown interference" in out
+
+    @pytest.mark.parametrize("argv", (
+        ["campaign", "--benchmarks", "gups", "--cores", "1", "--refs", "300",
+         "--scale", "0.02", "--seed", "5"],
+        ["lifecycle", "shootdown", "--rates", "0,10", "--refs", "150",
+         "--scale", "0.05", "--cores", "2", "--schemes", "all"],
+    ), ids=("campaign", "lifecycle"))
+    def test_no_batch_accepted_and_report_bytes_unchanged(self, argv,
+                                                           tmp_path, capsys):
+        """``--no-batch`` is still accepted and has no effect."""
+        plain, flagged = tmp_path / "plain.txt", tmp_path / "flagged.txt"
+        assert main(argv + ["--output", str(plain)]) == 0
+        assert main(argv + ["--no-batch", "--output", str(flagged)]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
 
     def test_lifecycle_rejects_unknown_scheme(self, capsys):
         code = main(["lifecycle", "churn", "--schemes", "warp"])

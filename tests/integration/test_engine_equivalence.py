@@ -1,8 +1,8 @@
 """Differential test: optimized engine == frozen seed-era reference engine.
 
 The fast-path engine rewrite (packed keys, slot counters, dict-ordering
-LRU, batched replay) promises **bit-identical counters**.  This test
-holds it to that: for every scheme, a workload replayed through
+LRU, one merge order per run) promises **bit-identical counters**.
+This test holds it to that: for every scheme, a workload replayed through
 :mod:`repro.core.refcheck` (the frozen pre-rewrite engine) and through
 the optimized :class:`~repro.core.system.Machine` must produce
 
@@ -17,18 +17,14 @@ This is the contract future optimizations are held to — see the
 
 import pytest
 
-from repro.core.batch import HAS_NUMPY
 from repro.core.refcheck import ReferenceMachine
 from repro.core.system import Machine
 from repro.experiments.runner import ExperimentParams
 from repro.obs import Observability
 from repro.obs.sinks import ListSink
 from repro.obs.tracer import EventTracer
-from repro.workloads.packed import pack_stream
+from repro.workloads.packed import decode_container, encode_workload
 from repro.workloads.suite import get_profile
-
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy unavailable (pomtlb[fast] not installed)")
 
 SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
 
@@ -58,10 +54,14 @@ def _run_reference(scheme, profile, workload, params=PARAMS):
                        or workload.warmup_references)
 
 
+def _machine(scheme, profile, params=PARAMS, **kwargs):
+    return Machine(params.system_config(), scheme=scheme,
+                   thp_large_fraction=profile.thp_large_fraction,
+                   seed=params.seed, **kwargs)
+
+
 def _run_optimized(scheme, profile, workload, params=PARAMS, obs=None):
-    machine = Machine(params.system_config(), scheme=scheme,
-                      thp_large_fraction=profile.thp_large_fraction,
-                      seed=params.seed, obs=obs)
+    machine = _machine(scheme, profile, params, obs=obs)
     return machine.run(workload.streams,
                        warmup_references=workload.warmup_by_core
                        or workload.warmup_references)
@@ -129,86 +129,57 @@ def test_fast_path_equals_traced_path_counters():
         assert getattr(traced, field) == getattr(plain, field)
 
 
-# -- vectorized batch engine (repro.core.batch) ----------------------------
+# -- further inputs: zero-copy packed streams, warm replay, verifier ------
 
 
-def _batch_machine(scheme, profile, params=PARAMS, **kwargs):
-    return Machine(params.system_config(), scheme=scheme,
-                   thp_large_fraction=profile.thp_large_fraction,
-                   seed=params.seed, batch=True, **kwargs)
+def _decoded(workload):
+    """The workload's streams as zero-copy columns of a packed container."""
+    return decode_container(encode_workload(workload)).streams
 
 
-def _packed(workload):
-    return [pack_stream(s) for s in workload.streams]
-
-
-@needs_numpy
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_batch_engine_bit_identical(scheme):
-    """Batch replay == frozen reference, every counter, every scheme."""
+    """Packed (memoryview-column) input == frozen reference, every scheme."""
     profile, workload = _workload()
     reference = _run_reference(scheme, profile, workload)
-    machine = _batch_machine(scheme, profile)
+    machine = _machine(scheme, profile)
     warm = workload.warmup_by_core or workload.warmup_references
-    batched = machine.run(_packed(workload), warmup_references=warm)
-    assert machine.last_replay_mode == "batch", machine.batch_fallback_reason
-    _assert_equivalent(reference, batched)
+    _assert_equivalent(reference, machine.run(_decoded(workload),
+                                              warmup_references=warm))
 
 
-@needs_numpy
 @pytest.mark.parametrize("scheme", ("pom", "baseline"))
 def test_batch_engine_bit_identical_multithreaded(scheme):
-    """Shared address space, same-core stream pairs, per-core warmup."""
+    """Packed input, shared address space, per-core warmup counts."""
     profile, workload = _workload(benchmark="graph500")
     reference = _run_reference(scheme, profile, workload)
-    machine = _batch_machine(scheme, profile)
+    machine = _machine(scheme, profile)
     warm = workload.warmup_by_core or workload.warmup_references
-    batched = machine.run(_packed(workload), warmup_references=warm)
-    assert machine.last_replay_mode == "batch", machine.batch_fallback_reason
-    _assert_equivalent(reference, batched)
+    _assert_equivalent(reference, machine.run(_decoded(workload),
+                                              warmup_references=warm))
 
 
-@needs_numpy
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_batch_engine_warm_replay_identical(scheme):
-    """Second run on the same machine (warm replay) stays bit-identical.
-
-    Warm replay takes the pre-created-stream-state fast path in the
-    batch engine (the debut slice vectorizes), so it needs its own
-    equivalence check against a twice-run reference machine.
-    """
+    """A second ``run()`` on the same machine stays bit-identical."""
     profile, workload = _workload()
-    params = PARAMS
     warm = workload.warmup_by_core or workload.warmup_references
-    ref = ReferenceMachine(params.system_config(), scheme=scheme,
+    ref = ReferenceMachine(PARAMS.system_config(), scheme=scheme,
                            thp_large_fraction=profile.thp_large_fraction,
-                           seed=params.seed)
+                           seed=PARAMS.seed)
     ref.run(workload.streams, warmup_references=warm)
     reference = ref.run(workload.streams, warmup_references=warm)
-    machine = _batch_machine(scheme, profile)
-    packed = _packed(workload)
-    machine.run(packed, warmup_references=warm)
-    batched = machine.run(packed, warmup_references=warm)
-    assert machine.last_replay_mode == "batch", machine.batch_fallback_reason
-    _assert_equivalent(reference, batched)
+    machine = _machine(scheme, profile)
+    machine.run(workload.streams, warmup_references=warm)
+    _assert_equivalent(reference, machine.run(workload.streams,
+                                              warmup_references=warm))
 
 
-@needs_numpy
 def test_batch_requested_verify_armed_still_identical():
-    """`--verify` + batch: the verifier forces the scalar loop, and the
-
-    verified run must still match an unverified batch run bit for bit
-    (all checkers armed; the verifier is an execution knob).
-    """
+    """Every consistency checker armed: still bit-identical."""
     profile, workload = _workload()
+    reference = _run_reference("pom", profile, workload)
+    machine = _machine("pom", profile, verify=True)
     warm = workload.warmup_by_core or workload.warmup_references
-    machine = _batch_machine("pom", profile)
-    batched = machine.run(_packed(workload), warmup_references=warm)
-    assert machine.last_replay_mode == "batch"
-    verified_machine = _batch_machine("pom", profile, verify=True)
-    verified = verified_machine.run(_packed(workload),
-                                    warmup_references=warm)
-    assert verified_machine.last_replay_mode == "scalar"
-    assert verified_machine.batch_fallback_reason == (
-        "consistency verifier armed")
-    _assert_equivalent(batched, verified)
+    _assert_equivalent(reference, machine.run(_decoded(workload),
+                                              warmup_references=warm))

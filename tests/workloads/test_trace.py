@@ -1,6 +1,7 @@
 """Unit tests for the trace format and interleaving."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.errors import TraceFormatError
 from repro.workloads.trace import (
@@ -298,13 +299,11 @@ class TestInterleavePacked:
     """Packed streams interleave identically to list-backed ones."""
 
     def _flatten(self, streams):
-        from repro.workloads.trace import interleave_batched
+        from repro.workloads.trace import merge_order
 
-        out = []
-        for stream, lo, hi in interleave_batched(streams):
-            for i in range(lo, hi):
-                out.append((stream.core, stream.references[i]))
-        return out
+        sources, positions = merge_order(streams)
+        return [(streams[s].core, streams[s].references[i])
+                for s, i in zip(sources, positions)]
 
     def test_chunks_match_corestream(self):
         from repro.workloads.packed import pack_stream
@@ -328,3 +327,30 @@ class TestInterleavePacked:
         packed = [pack_stream(s) for s in streams]
         reference = [(s.core, r) for s, r in interleave(streams)]
         assert self._flatten(packed) == reference
+
+
+class TestMergeOrder:
+    """merge_order: interleave's order as two compact columns."""
+
+    @given(st.lists(st.tuples(st.integers(0, 3),
+                              st.lists(st.integers(0, 6), max_size=8)),
+                    max_size=6))
+    def test_matches_interleave(self, shapes):
+        from repro.workloads.trace import merge_order
+
+        streams = [CoreStream(core, 1, asid,
+                              [MemoryReference(ic, asid, False)
+                               for ic in sorted(icounts)])
+                   for asid, (core, icounts) in enumerate(shapes)]
+        sources, positions = merge_order(streams)
+        ordered = [(id(streams[s]), streams[s].references[i])
+                   for s, i in zip(sources, positions)]
+        assert ordered == [(id(s), r) for s, r in interleave(streams)]
+
+    def test_decreasing_icounts_rejected(self):
+        from repro.workloads.trace import merge_order
+
+        bad = CoreStream(1, 1, 2, [MemoryReference(4, 0, False),
+                                   MemoryReference(3, 0, False)])
+        with pytest.raises(ValueError, match="core 1"):
+            merge_order([make_stream(), bad])
