@@ -163,6 +163,7 @@ class Machine:
                  obs: Optional[Observability] = None,
                  faults=None,
                  verify=None,
+                 host: Optional[Host] = None,
                  **scheme_kwargs) -> None:
         self.config = config
         self.seed = seed
@@ -172,8 +173,13 @@ class Machine:
         self.stats = StatRegistry()
         self.hierarchy = CacheHierarchy(config, self.stats,
                                         tlb_priority=tlb_priority)
-        self.host = Host(memory_bytes=host_memory_bytes)
-        self._native_processes: Dict[int, NativeProcess] = {}
+        #: An adopted ``host`` is the address space another machine built
+        #: by replaying the same workload, event-free: every page it will
+        #: touch is already mapped, so it never demand-pages.  Other
+        #: machines read the same tables, so nothing may remap them.
+        self.host_adopted = host is not None
+        self.host = host if host is not None else Host(
+            memory_bytes=host_memory_bytes)
         self.walkers = WalkerPool(config, self.stats, self.hierarchy,
                                   self.host,
                                   native_resolver=self._native_process)
@@ -206,10 +212,9 @@ class Machine:
         return ThpPolicy(fraction, seed=self.seed * 1000 + context_seed)
 
     def _native_process(self, asid: int) -> NativeProcess:
-        proc = self._native_processes.get(asid)
+        proc = self.host.native_processes.get(asid)
         if proc is None:
-            proc = NativeProcess(asid, self.host.memory, self._thp(asid))
-            self._native_processes[asid] = proc
+            proc = self.host.native_process(asid, self._thp(asid))
         return proc
 
     def touch(self, vm_id: int, asid: int, vaddr: int) -> ResolvedPage:
@@ -224,10 +229,12 @@ class Machine:
     def _stream_info(self, stream: PackedStream) -> tuple:
         """Per-stream constants hoisted out of the replay hot loop.
 
-        Creates the stream's VM/process on first use — at the stream's
-        first reference, which is exactly where the seed engine's first
-        ``touch`` would have created them, so page-frame allocation
-        order (and thus every downstream address) is unchanged.
+        The stream's VM/process may already exist (an earlier segment of
+        this run, or an adopted ``host``).  Otherwise it is created here,
+        at the stream's first reference, which is exactly where the seed
+        engine's first ``touch`` would have created it, so page-frame
+        allocation order (and thus every downstream address) is
+        unchanged.
         """
         vm_id, asid = stream.vm_id, stream.asid
         if self.config.virtualized:
@@ -281,7 +288,12 @@ class Machine:
         state is re-resolved (a destroyed VM's page maps are dead).
         Events at or past the end of the trace fire after the last
         reference; events past a ``max_references`` stop never fire.
+        A machine on an adopted ``host`` rejects events with
+        ``ValueError``: they would remap pages other machines read.
         """
+        if events and self.host_adopted:
+            raise ValueError("lifecycle events need the machine's own "
+                             "host; this one was adopted")
         streams = [as_packed(stream) for stream in streams]
         for stream in streams:
             if stream.core >= self.config.num_cores:
@@ -443,7 +455,7 @@ class Machine:
             vm = self.host.vms.get(vm_id)
             page = vm.resolve(asid, vaddr) if vm is not None else None
         else:
-            proc = self._native_processes.get(asid)
+            proc = self.host.native_processes.get(asid)
             page = proc.resolve(vaddr) if proc is not None else None
         large = page.large if page is not None else None
         verifier = self.verifier
@@ -481,10 +493,14 @@ class Machine:
         ``touch`` of the same vm_id boots a fresh VM that reuses the
         freed frames (cold-migration arrival / consolidation churn).
 
-        Returns the :class:`~repro.vmm.vm.FreedFrames` tally.
+        Returns the :class:`~repro.vmm.vm.FreedFrames` tally.  Raises
+        ``ValueError`` in native mode and on an adopted ``host``, whose
+        tables other machines read.
         """
         if not self.config.virtualized:
             raise ValueError("destroy_vm requires virtualized mode")
+        if self.host_adopted:
+            raise ValueError("destroy_vm would remap an adopted host")
         verifier = self.verifier
         token = (verifier.token_destroy_vm(self, vm_id)
                  if verifier.active else None)

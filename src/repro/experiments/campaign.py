@@ -121,7 +121,10 @@ class _CompiledWorkloads:
     generated otherwise — instead of once per scheme inside every run.
     Pooled workers attach the compiled bytes through shared memory (one
     physical copy for the whole pool) or mmap the cache file; serial
-    runs replay the parent's containers directly.
+    runs replay the parent's containers directly, workload by workload,
+    and share one address space per (workload, ``virtualized``): the
+    first fault-free run builds it and every later run adopts it instead
+    of demand-paging (see :func:`~repro.experiments.runner.simulate_run`).
     """
 
     def __init__(self, cache_dir: str, parallel: bool) -> None:
@@ -129,20 +132,30 @@ class _CompiledWorkloads:
         self.parallel = parallel
         self.containers = {}   # workload key -> DecodedContainer
         self.refs = {}         # workload key -> WorkloadRef
+        #: the current workload's key -> {virtualized: Host}
+        self.address_spaces = {}
         self.arena = (workload_shm.WorkloadArena()
                       if parallel and workload_shm.shm_available() else None)
         self.compiled = 0
         self.cache_hits = 0
 
     def compile(self, requests):
-        """Compile every distinct workload; returns requests with refs."""
+        """Compile every distinct workload; returns the requests to run.
+
+        Pooled requests keep their order and gain workload refs.  Serial
+        ones come back workload-major (all runs of one workload back to
+        back, workloads in first-use order), so only the current
+        workload's hosts need to stay alive.
+        """
+        groups = {}
         for request in requests:
             key = params_workload_key(request.benchmark, request.params)
-            if key in self.containers:
-                continue
-            self._compile_one(key, request)
+            if key not in self.containers:
+                self._compile_one(key, request)
+            groups.setdefault(key, []).append(request)
         if not self.parallel:
-            return requests
+            return [request for group in groups.values()
+                    for request in group]
         return [dataclasses.replace(
                     request, workload_ref=self.refs.get(
                         params_workload_key(request.benchmark,
@@ -188,10 +201,17 @@ class _CompiledWorkloads:
         container = self.containers.get(key)
         if container is None:
             return None
-        return container.workload()
+        workload = container.workload()
+        spaces = self.address_spaces.get(key)
+        if spaces is None:
+            # Runs arrive workload-major: drop the last workload's hosts.
+            spaces = {}
+            self.address_spaces = {key: spaces}
+        workload.address_spaces = spaces
+        return workload
 
     def release(self) -> None:
-        """Unlink shared segments and drop container buffers."""
+        """Unlink shared segments, drop container buffers and hosts."""
         if self.arena is not None:
             self.arena.release()
             self.arena = None
@@ -199,6 +219,7 @@ class _CompiledWorkloads:
             container.backing.close()
         self.containers = {}
         self.refs = {}
+        self.address_spaces = {}
 
 
 def run_all(params: Optional[ExperimentParams] = None,

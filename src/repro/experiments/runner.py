@@ -151,6 +151,13 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
     whose ``validated`` flag is set (a trusted cache hit) skip
     re-validation — any mutation, including the ``corrupt-trace``
     fault, clears the flag, so damage is still caught.
+
+    A workload may carry ``address_spaces``, a ``{virtualized: Host}``
+    dict shared by every run of that workload (a serial campaign sets
+    it).  A fault-free run adopts the entry for its mode instead of
+    demand-paging, or, when there is none yet, publishes the host it
+    built.  Demand paging does not depend on the scheme, so results
+    are bit-identical either way.
     """
     profile = get_profile(benchmark)
     if workload is None:
@@ -164,16 +171,22 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
             validate_stream(stream)
     machine_faults = (RaiseAtTranslation(fault[1])
                       if fault is not None and fault[0] == "raise" else None)
+    # A faulted run neither adopts nor publishes a shared host.
+    spaces = (getattr(workload, "address_spaces", None)
+              if fault is None else None)
     machine = Machine(params.system_config(), scheme=scheme,
                       thp_large_fraction=profile.thp_large_fraction,
                       seed=params.seed,
                       tlb_priority=params.tlb_priority,
                       obs=obs, faults=machine_faults,
-                      verify=params.verify or None)
+                      verify=params.verify or None,
+                      host=spaces.get(params.virtualized) if spaces else None)
     result = machine.run(
         workload.streams,
         warmup_references=workload.warmup_by_core
         or workload.warmup_references)
+    if spaces is not None and not machine.host_adopted:
+        spaces[params.virtualized] = machine.host
     anchor = profile.anchor(virtualized=params.virtualized)
     perf = estimate(anchor, result.l2_tlb_misses, result.penalty_cycles)
     return BenchmarkRun(benchmark=benchmark, scheme=scheme,

@@ -71,7 +71,9 @@ class NestedWalker:
         # Host-physical addresses of guest table frames, memoized for the
         # combined-PSC refill.  Guest table frames are host-mapped when
         # allocated and that mapping is never changed or removed, so the
-        # translation is a run constant per frame.
+        # translation is a run constant per frame.  The tables may be
+        # shared with other machines on an adopted host; they cannot
+        # change under this walker because adopting machines never remap.
         self._host_base_memo = {}
 
     # -- host dimension ----------------------------------------------------------

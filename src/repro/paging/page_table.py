@@ -100,7 +100,10 @@ class RadixPageTable:
         # both memos; new mappings need no action (an address that now
         # resolves previously faulted, and faults are never memoized).
         # table_base lives in the key, so the stale-base AddressError
-        # path still takes the uncached walk.
+        # path still takes the uncached walk.  A table (and so its
+        # memos) may be read by several machines that adopted one host
+        # (repro.core.system.Machine); that is safe only because adopting
+        # machines never remap (they reject destroy_vm and events).
         self._walk_memo_small: Dict[Tuple[int, int, int],
                                     Tuple[List[WalkStep], LeafMapping]] = {}
         self._walk_memo_large: Dict[Tuple[int, int, int],

@@ -79,7 +79,7 @@ def _page_snapshot(machine: Machine) -> Dict[Tuple[int, int], Tuple]:
                     for asid, proc in vm.processes.items()]
     else:
         contexts = [((0, asid), proc)
-                    for asid, proc in machine._native_processes.items()]
+                    for asid, proc in machine.host.native_processes.items()]
     for key, proc in contexts:
         snapshot[key] = (
             {vpn: page.host_frame for vpn, page in proc.small_pages.items()},

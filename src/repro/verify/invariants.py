@@ -425,7 +425,7 @@ class MemoryConservationChecker(InvariantChecker):
         """Bytes the surviving VMs and native processes pin together."""
         owned = sum(vm.live_bytes() for vm in machine.host.vms.values())
         owned += sum(proc.live_bytes()
-                     for proc in machine._native_processes.values())
+                     for proc in machine.host.native_processes.values())
         return owned
 
     def _check_balance(self, machine, event: str) -> None:

@@ -1,6 +1,7 @@
 """Virtual machines, guest processes and demand paging.
 
-The :class:`Host` owns physical memory and the virtual machines.  Each
+The :class:`Host` owns physical memory, the virtual machines and the
+bare-metal processes: one system's whole functional address space.  Each
 :class:`VirtualMachine` owns a guest-physical address space, a host page
 table (gPA -> hPA, the EPT analogue) and its guest processes; each
 :class:`GuestProcess` owns a guest page table (gVA -> gPA).
@@ -228,11 +229,16 @@ class FreedFrames(NamedTuple):
 
 
 class Host:
-    """Top level: host physical memory plus the virtual machines on it."""
+    """The whole functional address space of one simulated system.
+
+    Host physical memory plus the virtual machines on it (virtualized
+    mode) or the bare-metal processes (native mode).
+    """
 
     def __init__(self, memory_bytes: int = 64 * addr.GiB) -> None:
         self.memory = PhysicalMemory(base=0, size_bytes=memory_bytes)
         self.vms: Dict[int, VirtualMachine] = {}
+        self.native_processes: Dict[int, NativeProcess] = {}
 
     def create_vm(self, vm_id: int, thp: ThpPolicy) -> VirtualMachine:
         if vm_id in self.vms:
@@ -240,6 +246,18 @@ class Host:
         vm = VirtualMachine(vm_id, self.memory, thp)
         self.vms[vm_id] = vm
         return vm
+
+    def native_process(self, asid: int, thp: ThpPolicy) -> NativeProcess:
+        """Return (creating on first use) the native process ``asid``.
+
+        ``thp`` is the new process's page-size policy; it is ignored
+        when the process already exists.
+        """
+        proc = self.native_processes.get(asid)
+        if proc is None:
+            proc = NativeProcess(asid, self.memory, thp)
+            self.native_processes[asid] = proc
+        return proc
 
     def destroy_vm(self, vm_id: int) -> FreedFrames:
         """Tear one VM down, returning every host frame it pinned.

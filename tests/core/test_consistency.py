@@ -142,7 +142,7 @@ class TestShootdownOfUnmappedPage:
                           scheme="pom", seed=3)
         before = machine.host.memory.bytes_allocated
         machine.shootdown(0, 42, 0x5000)
-        assert 42 not in machine._native_processes
+        assert 42 not in machine.host.native_processes
         assert machine.host.memory.bytes_allocated == before
 
 

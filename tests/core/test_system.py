@@ -148,3 +148,58 @@ class TestShootdownIntegration:
         m.shootdown(0, 1, 0)
         m.run([looping_stream(0, pages=1, repeats=1)])
         assert m.stats["mmu"]["page_walks"] == walks + 1
+
+
+class TestAdoptedHost:
+    """A machine may adopt the address space another machine built."""
+
+    @staticmethod
+    def streams():
+        return [looping_stream(0, pages=96, repeats=2, asid=1),
+                looping_stream(1, pages=64, repeats=2, asid=2)]
+
+    @pytest.mark.parametrize("virtualized", [True, False])
+    def test_adopted_run_matches_fresh_and_never_touches(self, virtualized):
+        config = SystemConfig(num_cores=2, virtualized=virtualized)
+        builder = Machine(config, scheme="baseline", seed=4)
+        builder.run(self.streams())
+        allocated = builder.host.memory.bytes_allocated
+        fresh = Machine(config, scheme="pom", seed=4).run(self.streams())
+        adopter = Machine(config, scheme="pom", seed=4, host=builder.host)
+        touches = []
+        adopter.touch = lambda *args: touches.append(args)
+        result = adopter.run(self.streams())
+        assert adopter.host_adopted and not builder.host_adopted
+        assert touches == []
+        assert builder.host.memory.bytes_allocated == allocated
+        assert (result.stats.as_nested_dict()
+                == fresh.stats.as_nested_dict())
+        assert result.translation_cycles == fresh.translation_cycles
+        assert result.data_cycles == fresh.data_cycles
+
+    def test_rejects_lifecycle_events(self):
+        from repro.workloads.lifecycle import LifecycleEvent
+
+        builder = Machine(SystemConfig(num_cores=2), scheme="pom")
+        builder.run(self.streams())
+        allocated = builder.host.memory.bytes_allocated
+        adopter = Machine(SystemConfig(num_cores=2), scheme="pom",
+                          host=builder.host)
+        event = LifecycleEvent(position=10, kind="destroy_vm", vm_id=0)
+        with pytest.raises(ValueError, match="adopted"):
+            adopter.run(self.streams(), events=[event])
+        assert 0 in builder.host.vms
+        assert builder.host.memory.bytes_allocated == allocated
+        # No events is no remapping: the run goes ahead.
+        assert adopter.run(self.streams(), events=[]).references > 0
+
+    def test_rejects_destroy_vm(self):
+        builder = Machine(SystemConfig(num_cores=2), scheme="pom")
+        builder.run(self.streams())
+        adopter = Machine(SystemConfig(num_cores=2), scheme="pom",
+                          host=builder.host)
+        with pytest.raises(ValueError, match="adopted"):
+            adopter.destroy_vm(0)
+        assert 0 in builder.host.vms
+        # The builder owns its host and may still tear it down.
+        assert builder.destroy_vm(0).bytes > 0

@@ -134,3 +134,17 @@ class TestHost:
         pa = a.touch(1, 0x1000)
         pb = b.touch(1, 0x1000)
         assert pa.host_frame != pb.host_frame
+
+    def test_native_process_created_once(self):
+        host = Host(memory_bytes=8 * addr.GiB)
+        proc = host.native_process(3, ThpPolicy(0.0))
+        assert host.native_processes == {3: proc}
+        # The policy only applies on creation.
+        assert host.native_process(3, ThpPolicy(1.0)) is proc
+        assert not proc.touch(0x1000).large
+
+    def test_native_processes_share_host_memory(self):
+        host = Host(memory_bytes=8 * addr.GiB)
+        pa = host.native_process(1, ThpPolicy(0.0)).touch(0x1000)
+        pb = host.native_process(2, ThpPolicy(0.0)).touch(0x1000)
+        assert pa.host_frame != pb.host_frame
