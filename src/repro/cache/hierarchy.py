@@ -426,3 +426,16 @@ class CacheHierarchy:
         """
         for cache in self._tlb_line_caches:
             cache.invalidate(paddr)
+
+    def tlb_line_rewritten(self, core: int, paddr: int) -> None:
+        """``core`` rewrote a POM-TLB line: refresh its path, drop the rest.
+
+        The other cores' L2 copies are stale and dropped.  The
+        requester's L2 and the L3 get the new line as newest, which is
+        what :meth:`tlb_line_fill` does whether or not the old copy is
+        still resident, so those two need no invalidate first.
+        """
+        for other, l2 in enumerate(self._l2):
+            if other != core:
+                l2.invalidate(paddr)
+        self.tlb_line_fill(core, paddr)

@@ -34,7 +34,8 @@ the engine-equivalence test, the exact same counters.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from functools import partial
+from typing import List, NamedTuple, Optional
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common import addr
@@ -64,6 +65,12 @@ class TranslationResult(NamedTuple):
     cycles: int    # full translation latency for this reference
     l2_miss: bool  # missed the last private TLB level
     penalty: int   # cycles attributed past the L2-TLB-miss point
+
+
+#: Builds a miss-path :class:`TranslationResult` from a ``(cycles,
+#: l2_miss, penalty)`` tuple without the Python-level ``__new__`` frame
+#: that NamedTuple generates.
+_result = partial(tuple.__new__, TranslationResult)
 
 
 def _key_for(vm_id: int, asid: int, vaddr: int, large: bool) -> int:
@@ -131,17 +138,15 @@ class TranslationScheme:
         if page.large:
             key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
             l1 = tlbs.l1_large
-            shift = _LARGE_SHIFT
         else:
             key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
             l1 = tlbs.l1_small
-            shift = _SMALL_SHIFT
         if l1.lookup(key) is not None:
             return tlbs.l1_hit_result
         l1_idx = l1.probe_index
         l2 = tlbs.l2
         if l2.lookup(key) is not None:
-            l1.insert_at(l1_idx, key, TlbEntry(page.host_frame >> shift))
+            l1.insert_at(l1_idx, key, page.tlb_entry)
             return tlbs.l2_hit_result
         l2_idx = l2.probe_index
         slot = self._l2_misses
@@ -150,14 +155,14 @@ class TranslationScheme:
         vm_id = (ctx >> 1) & 0xFFFF
         asid = (ctx >> 17) & 0xFFFF
         penalty = self._resolve_miss(core, vm_id, asid, vaddr, page)
-        entry = TlbEntry(page.host_frame >> shift)
+        entry = page.tlb_entry
         l2.insert_at(l2_idx, key, entry)
         l1.insert_at(l1_idx, key, entry)
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
-        return TranslationResult(tlbs.l1_latency + tlbs.l2_latency + penalty,
-                                 True, penalty)
+        return _result((tlbs.l1_latency + tlbs.l2_latency + penalty,
+                        True, penalty))
 
     def _translate_traced(self, core: int, ctx: int, vaddr: int,
                           page: ResolvedPage) -> TranslationResult:
@@ -182,8 +187,7 @@ class TranslationScheme:
                     hit=False)
         cycles += tlbs.l2_latency
         if tlbs.l2.lookup(key) is not None:
-            l1.insert_at(l1_idx, key, TlbEntry(page.host_frame >>
-                                               addr.page_shift(page.large)))
+            l1.insert_at(l1_idx, key, page.tlb_entry)
             if tr.active:
                 tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
                         hit=True)
@@ -195,7 +199,7 @@ class TranslationScheme:
                     hit=False)
         self._l2_misses.add()
         penalty = self._resolve_miss(core, vm_id, asid, vaddr, page)
-        entry = TlbEntry(page.host_frame >> addr.page_shift(page.large))
+        entry = page.tlb_entry
         tlbs.l2.insert_at(l2_idx, key, entry)
         l1.insert_at(l1_idx, key, entry)
         self._penalty_cycles.add(penalty)
@@ -304,23 +308,24 @@ class BaselineWalkScheme(TranslationScheme):
 
 
 class _PomFlowStats:
-    """Resolve-once handles over the shared ``pom_flow`` stat group."""
+    """Resolve-once handles over the shared ``pom_flow`` stat group.
+
+    ``from_<source>`` counts set fetches by where the set came from; the
+    reported counter is ``set_from_<source>`` (untouched ones stay
+    invisible, so resolving all of them up front shows nothing new).
+    """
 
     def __init__(self, flow_stats) -> None:
-        self.group = flow_stats
-        self.resolved = (flow_stats.counter("resolved_first_try"),
-                         flow_stats.counter("resolved_second_try"))
-        self.resolved_by_walk = flow_stats.counter("resolved_by_walk")
-        self.prefetches = flow_stats.counter("prefetches")
-        self._sources: Dict[str, object] = {}
-
-    def count_source(self, source: str) -> None:
-        slot = self._sources.get(source)
-        if slot is None:
-            slot = self._sources[source] = self.group.counter(
-                f"set_from_{source}")
-        slot.value += 1
-        slot.touched = True
+        counter = flow_stats.counter
+        self.resolved = (counter("resolved_first_try"),
+                         counter("resolved_second_try"))
+        self.resolved_by_walk = counter("resolved_by_walk")
+        self.prefetches = counter("prefetches")
+        self.from_l2 = counter("set_from_l2")
+        self.from_l3 = counter("set_from_l3")
+        self.from_dram = counter("set_from_dram")
+        self.from_dram_bypass = counter("set_from_dram_bypass")
+        self.from_dram_uncached = counter("set_from_dram_uncached")
 
 
 class PomTlbScheme(TranslationScheme):
@@ -393,18 +398,16 @@ class PomTlbScheme(TranslationScheme):
             self._flow.resolved_by_walk.add()
             if page_large:
                 key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-                shift = _LARGE_SHIFT
             else:
                 key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-                shift = _SMALL_SHIFT
             set_paddr, _evicted = pom.insert(
-                vaddr, key, TlbEntry(page.host_frame >> shift),
-                vm_id, page_large)
+                vaddr, key, page.tlb_entry, vm_id, page_large)
             # The set's cached copies are stale now; refresh the
             # requester's path, drop everyone else's.
-            hierarchy.invalidate_tlb_line(set_paddr)
             if self._cache_entries:
-                hierarchy.tlb_line_fill(core, set_paddr)
+                hierarchy.tlb_line_rewritten(core, set_paddr)
+            else:
+                hierarchy.invalidate_tlb_line(set_paddr)
         predictor.record_size(vaddr, page_large)
         if self._cache_entries and entry is not None:
             # Train the bypass bit only on POM-resolved misses: a
@@ -434,22 +437,26 @@ class PomTlbScheme(TranslationScheme):
 
     def _fetch_set(self, core: int, set_addr: int, bypass: bool) -> int:
         """Bring one POM-TLB set to the MMU; returns cycles."""
+        flow = self._flow
         if not self._cache_entries or bypass:
             cycles = self.pom.dram_access(set_addr)
             if bypass:
                 # Bypass skips the lookup latency, not the fill: the
                 # fetched set is still installed like any memory read.
                 self.hierarchy.tlb_line_fill(core, set_addr)
-            source = "dram_bypass" if bypass else "dram_uncached"
+                source, slot = "dram_bypass", flow.from_dram_bypass
+            else:
+                source, slot = "dram_uncached", flow.from_dram_uncached
         else:
-            cycles, level = self.hierarchy.tlb_line_probe(core, set_addr)
-            if level is None:
+            cycles, source = self.hierarchy.tlb_line_probe(core, set_addr)
+            if source is None:
                 cycles += self.pom.dram_access(set_addr)
                 self.hierarchy.tlb_line_fill(core, set_addr)
-                source = "dram"
+                source, slot = "dram", flow.from_dram
             else:
-                source = level
-        self._flow.count_source(source)
+                slot = flow.from_l2 if source == "l2" else flow.from_l3
+        slot.value += 1
+        slot.touched = True
         if self.trace.active:
             self.trace.emit(events.POM_FETCH, cycles=cycles, source=source)
         return cycles
@@ -512,15 +519,13 @@ class SharedL2Scheme(TranslationScheme):
         if page.large:
             key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
             l1 = tlbs.l1_large
-            shift = _LARGE_SHIFT
         else:
             key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
             l1 = tlbs.l1_small
-            shift = _SMALL_SHIFT
         if l1.lookup(key) is not None:
             return tlbs.l1_hit_result
         l1_idx = l1.probe_index
-        entry_template = TlbEntry(page.host_frame >> shift)
+        entry_template = page.tlb_entry
         # Shadow bookkeeping: would the baseline's private L2 have missed?
         shadow = self._shadow[core]
         shadow_miss = shadow.lookup(key) is None
@@ -538,7 +543,7 @@ class SharedL2Scheme(TranslationScheme):
             slot = self._penalty_cycles
             slot.value += extra_hit_cost
             slot.touched = True
-            return TranslationResult(cycles, shadow_miss, extra_hit_cost)
+            return _result((cycles, shadow_miss, extra_hit_cost))
         shared_idx = shared.probe_index
         penalty = extra_hit_cost + tlbs.l2_miss_overhead
         vm_id = (ctx >> 1) & 0xFFFF
@@ -549,7 +554,7 @@ class SharedL2Scheme(TranslationScheme):
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
-        return TranslationResult(cycles + penalty, shadow_miss, penalty)
+        return _result((cycles + penalty, shadow_miss, penalty))
 
     def _translate_traced(self, core: int, ctx: int, vaddr: int,
                           page: ResolvedPage) -> TranslationResult:
@@ -571,7 +576,7 @@ class SharedL2Scheme(TranslationScheme):
         if tr.active:
             tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
                     hit=False)
-        entry_template = TlbEntry(page.host_frame >> addr.page_shift(page.large))
+        entry_template = page.tlb_entry
         shadow = self._shadow[core]
         shadow_miss = shadow.lookup(key) is None
         if shadow_miss:
@@ -743,10 +748,8 @@ class SkewedPomScheme(TranslationScheme):
         page_large = page.large
         if page_large:
             true_key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-            shift = _LARGE_SHIFT
         else:
             true_key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-            shift = _SMALL_SHIFT
         first_line = pom.candidates(true_key)[0][2]
         line_was_cached = (self._cache_entries
                            and hierarchy.tlb_line_cached(core, first_line))
@@ -770,17 +773,22 @@ class SkewedPomScheme(TranslationScheme):
                     fetch_cycles = pom.dram_access(line_addr)
                     if bypass:
                         hierarchy.tlb_line_fill(core, line_addr)
-                    source = "dram_bypass" if bypass else "dram_uncached"
+                        source, counter = "dram_bypass", flow.from_dram_bypass
+                    else:
+                        source = "dram_uncached"
+                        counter = flow.from_dram_uncached
                 else:
-                    fetch_cycles, level = hierarchy.tlb_line_probe(
+                    fetch_cycles, source = hierarchy.tlb_line_probe(
                         core, line_addr)
-                    if level is None:
+                    if source is None:
                         fetch_cycles += pom.dram_access(line_addr)
                         hierarchy.tlb_line_fill(core, line_addr)
-                        source = "dram"
+                        source, counter = "dram", flow.from_dram
                     else:
-                        source = level
-                flow.count_source(source)
+                        counter = (flow.from_l2 if source == "l2"
+                                   else flow.from_l3)
+                counter.value += 1
+                counter.touched = True
                 if tr.active:
                     tr.emit(events.POM_FETCH, cycles=fetch_cycles,
                             source=source)
@@ -803,11 +811,11 @@ class SkewedPomScheme(TranslationScheme):
         if entry is None:
             cycles += self._walk(core, vm_id, asid, vaddr)
             self._flow.resolved_by_walk.add()
-            line_addr, _evicted = pom.insert(
-                true_key, TlbEntry(page.host_frame >> shift))
-            hierarchy.invalidate_tlb_line(line_addr)
+            line_addr, _evicted = pom.insert(true_key, page.tlb_entry)
             if self._cache_entries:
-                hierarchy.tlb_line_fill(core, line_addr)
+                hierarchy.tlb_line_rewritten(core, line_addr)
+            else:
+                hierarchy.invalidate_tlb_line(line_addr)
         predictor.record_size(vaddr, page_large)
         if self._cache_entries and entry is not None:
             predictor.record_bypass(vaddr, line_was_cached)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress, count, islice, repeat
+from operator import eq
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..cache.hierarchy import CacheHierarchy
@@ -45,6 +47,56 @@ _LARGE_MASK = addr.LARGE_PAGE_SIZE - 1
 
 #: Write-bitmap bit -> the bool ``data_access`` takes.
 _WRITE_BOOL = (False, True)
+
+
+def _warmup_boundary(streams: Sequence[PackedStream], sources: Sequence[int],
+                     warmup: Union[int, Mapping[int, int]]) -> int:
+    """Merge position of the first measured reference (0: no warm-up).
+
+    An ``int`` warms up that many references of the merge.  A ``{core:
+    count}`` mapping ends the warm-up after the reference with which the
+    last listed core completes its own count.  Raises ``ValueError`` when
+    the warm-up leaves no reference to measure.
+    """
+    total = len(sources)
+    if isinstance(warmup, int):
+        boundary = max(warmup, 0)
+    else:
+        core_of = [stream.core for stream in streams]
+        boundary = 0
+        for core, wanted in warmup.items():
+            if wanted <= 0:
+                continue
+            # Merge positions of this core's references, in replay order.
+            replayed = compress(count(), map(eq, map(core_of.__getitem__,
+                                                     sources), repeat(core)))
+            last = next(islice(replayed, wanted - 1, None), None)
+            if last is None:
+                boundary = total
+                break
+            boundary = max(boundary, last + 1)
+    if boundary and boundary >= total:
+        raise ValueError(f"warmup ({warmup}) consumed the whole trace")
+    return boundary
+
+
+def _last_icounts(streams: Sequence[PackedStream], sources: Sequence[int],
+                  stop: int) -> Dict[int, int]:
+    """Each core's icount at its last reference before merge position ``stop``.
+
+    Read off the stream columns: a stream contributes as many leading
+    references as its index occurs in ``sources[:stop]``.  The merge
+    sorts by icount first, so on a core with several streams the last
+    one replayed has the largest icount.
+    """
+    head = sources[:stop]
+    last: Dict[int, int] = {}
+    for index, stream in enumerate(streams):
+        replayed = head.count(index)
+        if replayed:
+            icount = stream.icounts[replayed - 1]
+            last[stream.core] = max(last.get(stream.core, icount), icount)
+    return last
 
 
 @dataclass
@@ -244,12 +296,13 @@ class Machine:
             proc = vm.process(asid)
         else:
             proc = self._native_process(asid)
+        _icounts, vaddrs, writebits = stream.columns()
         # Demand-paging (first touch of a page) goes through the public
         # ``touch`` so profiling/instrumentation wrappers still see it;
         # resolved pages are served straight from the process dicts.
-        return ((stream.core, pack_context(vm_id, asid),
-                 proc.large_pages.get, proc.small_pages.get,
-                 partial(self.touch, vm_id, asid)) + stream.columns())
+        return (stream.core, pack_context(vm_id, asid),
+                proc.large_pages.get, proc.small_pages.get,
+                partial(self.touch, vm_id, asid), vaddrs, writebits)
 
     # -- execution -----------------------------------------------------------
 
@@ -269,15 +322,21 @@ class Machine:
         cache, POM-TLB and predictor contents).  This measures steady
         state, like the paper's 20-billion-instruction runs where
         compulsory misses are negligible; without it, short traces are
-        dominated by first-touch misses no scheme can avoid.
+        dominated by first-touch misses no scheme can avoid.  The warm-up
+        records no latency histogram or window sample (the reset would
+        erase them); the tracer records it, then a ``stats_reset`` marker.
 
         An ``int`` counts references globally across the interleaved
         merge.  A ``{core: count}`` mapping waits until **every** listed
         core has delivered its own count — required when streams tick
         their instruction clocks at different rates (mixed-benchmark
         consolidation), where a global count would cut some cores off
-        mid-prologue.  ``max_references`` counts measured references,
-        i.e. those after the warm-up reset.
+        mid-prologue.  Either form fixes the merge position of the first
+        measured reference before anything replays; a warm-up that
+        leaves no reference to measure raises ``ValueError`` then.
+        ``max_references`` counts measured references only: the run
+        returns exactly that many after the warm-up (fewer if the trace
+        ends first).
 
         ``events`` schedules OS-level operations mid-run: each entry has
         a ``position`` (the 0-based index in the global replay order,
@@ -285,15 +344,19 @@ class Machine:
         ``apply(machine)`` method — see
         :class:`~repro.workloads.lifecycle.LifecycleEvent`.  Events cut
         the order into segments; after one fires, every stream's hoisted
-        state is re-resolved (a destroyed VM's page maps are dead).
+        state is re-resolved (a destroyed VM's page maps are dead).  An
+        event at the warm-up boundary fires before the reset.
         Events at or past the end of the trace fire after the last
-        reference; events past a ``max_references`` stop never fire.
+        reference; events at or past a ``max_references`` stop never fire.
         A machine on an adopted ``host`` rejects events with
         ``ValueError``: they would remap pages other machines read.
         """
         if events and self.host_adopted:
             raise ValueError("lifecycle events need the machine's own "
                              "host; this one was adopted")
+        if max_references is not None and max_references < 0:
+            raise ValueError(f"max_references must be >= 0, "
+                             f"got {max_references}")
         streams = [as_packed(stream) for stream in streams]
         for stream in streams:
             if stream.core >= self.config.num_cores:
@@ -301,17 +364,25 @@ class Machine:
                     f"stream core {stream.core} >= {self.config.num_cores} cores")
         sources, positions = merge_order(streams)
         total = len(sources)
+        boundary = _warmup_boundary(streams, sources, warmup_references)
+        end = total
         queue = sorted(events, key=lambda e: e.position) if events else []
+        if max_references is not None and boundary + max_references <= total:
+            # Stopped by the cap: events at or past the stop never fire.
+            end = boundary + max_references
+            queue = [event for event in queue if event.position < end]
         obs = self.obs
         faults = self.faults
         tracer = obs.tracer
         histograms = obs.histograms
-        record_translation = record_penalty = None
-        if histograms is not None:
-            record_translation = histograms["translation_cycles"].record
-            record_penalty = histograms["penalty_cycles"].record
         windows = obs.windows
-        record_window = windows.record if windows is not None else None
+        measured_hooks = (
+            histograms["translation_cycles"].record if histograms else None,
+            histograms["penalty_cycles"].record if histograms else None,
+            windows.record if windows is not None else None)
+        record_translation, record_penalty, record_window = (
+            (None, None, None) if boundary else measured_hooks)
+        obs.bind(self, measuring=not boundary)
         translate_packed = self.scheme.translate_packed
         data_access = self.hierarchy.data_access
         # Both in-tree faulters fix ``active`` at class level; hoist it.
@@ -321,31 +392,35 @@ class Machine:
         verifier = self.verifier
         verifier_active = verifier.active
         on_verify = verifier.on_translation
-        references = 0
         translation_cycles = 0
         data_cycles = 0
-        if isinstance(warmup_references, int):
-            warmup_remaining: Dict[int, int] = (
-                {-1: warmup_references} if warmup_references else {})
-        else:
-            warmup_remaining = {core: count for core, count
-                                in warmup_references.items() if count > 0}
-        warming = bool(warmup_remaining)
-        warmup_boundary: Dict[int, int] = {}
-        last_icount: Dict[int, int] = {}
-        stop_at = max_references if max_references is not None else float("inf")
-        stopped = False
         fired = 0
         start = 0
         while True:
             while fired < len(queue) and queue[fired].position <= start:
                 queue[fired].apply(self)
                 fired += 1
+            if boundary and start == boundary:
+                translation_cycles = 0
+                data_cycles = 0
+                self.stats.reset()
+                obs.reset()
+                verifier.reset()
+                if tracer.enabled:
+                    tracer.marker("stats_reset")
+                obs.bind(self)
+                record_translation, record_penalty, record_window = (
+                    measured_hooks)
+            if start >= end:
+                break
+            stop = end
+            if fired < len(queue) and queue[fired].position < stop:
+                stop = queue[fired].position
+            if start < boundary < stop:
+                stop = boundary
             # (Re-)resolved lazily, so an event's effect is always seen.
             infos: List[Optional[tuple]] = [None] * len(streams)
             current = -1
-            stop = (min(queue[fired].position, total)
-                    if fired < len(queue) else total)
             for source, i in zip(sources[start:stop], positions[start:stop]):
                 if source != current:
                     current = source
@@ -354,25 +429,7 @@ class Machine:
                         info = infos[source] = self._stream_info(
                             streams[source])
                     (core, ctx, large_get, small_get, touch_slow,
-                     icounts, vaddrs, writebits) = info
-                if warming:
-                    if warmup_remaining:
-                        key = -1 if -1 in warmup_remaining else core
-                        if key in warmup_remaining:
-                            warmup_remaining[key] -= 1
-                            if warmup_remaining[key] <= 0:
-                                del warmup_remaining[key]
-                    else:
-                        warming = False
-                        references = 0
-                        translation_cycles = 0
-                        data_cycles = 0
-                        self.stats.reset()
-                        obs.reset()
-                        verifier.reset()
-                        if tracer.enabled:
-                            tracer.marker("stats_reset")
-                        warmup_boundary = dict(last_icount)
+                     vaddrs, writebits) = info
                 if faults_active:
                     on_translation()
                 vaddr = vaddrs[i]
@@ -396,33 +453,21 @@ class Machine:
                     record_window(result[0], result[1], result[2])
                 if verifier_active:
                     on_verify(result)
-                references += 1
-                last_icount[core] = icounts[i]
-                if references >= stop_at:
-                    stopped = True
-                    break
-            if stopped:
-                break
             start = stop
-            if start >= total:
-                # Events at or past the end of the trace fire after the
-                # last reference (e.g. the final generation's teardowns).
-                for event in queue[fired:]:
-                    event.apply(self)
-                break
-        if warming:
-            raise ValueError(
-                f"warmup ({warmup_references}) consumed the whole trace")
+        # Events at or past the end of the trace fire after the last
+        # reference (e.g. the final generation's teardowns).
+        for event in queue[fired:]:
+            event.apply(self)
         if windows is not None:
             windows.finish()
-        instructions = sum(
-            last_icount[core] - warmup_boundary.get(core, 0)
-            for core in last_icount)
+        last = _last_icounts(streams, sources, end)
+        first = _last_icounts(streams, sources, boundary) if boundary else {}
         mmu_stats = self.stats.group("mmu")
         result = SimulationResult(
             scheme=self.scheme.name,
-            references=references,
-            instructions=instructions,
+            references=end - boundary,
+            instructions=sum(last[core] - first.get(core, 0)
+                             for core in last),
             l2_tlb_misses=int(mmu_stats["l2_tlb_misses"]),
             penalty_cycles=int(mmu_stats["penalty_cycles"]),
             translation_cycles=translation_cycles,

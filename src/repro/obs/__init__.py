@@ -64,12 +64,23 @@ class Observability:
         pom = getattr(machine.scheme, "pom", None)
         if pom is not None:
             pom.dram.trace = self.tracer
-            if self.histograms is not None:
-                pom.dram.histogram = self.histograms["dram_access_cycles"]
+        self.bind(machine)
         for predictor in getattr(machine.scheme, "predictors", ()):
             predictor.trace = self.tracer
         if self.window:
             self.windows = WindowedMetrics(self.window, machine.stats)
+
+    def bind(self, machine, measuring: bool = True) -> None:
+        """Point the stacked-DRAM channel at its histogram, or detach it.
+
+        ``Machine.run`` detaches it (``measuring=False``) for a warm-up
+        prologue, whose samples the boundary reset would erase, and binds
+        it again at the boundary.  The tracer stays attached throughout.
+        """
+        pom = getattr(machine.scheme, "pom", None)
+        if pom is not None and self.histograms is not None:
+            pom.dram.histogram = (self.histograms["dram_access_cycles"]
+                                  if measuring else None)
 
     def reset(self) -> None:
         """Zero collected data at the warmup boundary (stats reset)."""

@@ -24,6 +24,7 @@ frozen reference copy in :mod:`repro.core._refimpl.nested`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Tuple
 
 from ..common import addr
@@ -49,6 +50,11 @@ class NestedOutcome(NamedTuple):
 
     def translate(self, gva: int) -> int:
         return self.host_frame | addr.page_offset(gva, self.large)
+
+
+#: Builds a :class:`NestedOutcome` from a 4-tuple without the Python-level
+#: ``__new__`` frame NamedTuple generates (one per walk, every miss path).
+_outcome = partial(tuple.__new__, NestedOutcome)
 
 
 class NestedWalker:
@@ -191,7 +197,7 @@ class NestedWalker:
         slot = self._nested_refs
         slot.value += total_refs
         slot.touched = True
-        return NestedOutcome(cycles, total_refs, host_frame_addr, leaf.large)
+        return _outcome((cycles, total_refs, host_frame_addr, leaf.large))
 
     def _refill_guest_psc(self, gva: int, leaf: LeafMapping) -> None:
         """Refill the combined cache with (gPA, hPA) guest-table bases."""

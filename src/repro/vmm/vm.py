@@ -22,6 +22,7 @@ from typing import Dict, List, NamedTuple, Optional
 
 from ..common import addr
 from ..paging.page_table import RadixPageTable
+from ..tlb.entry import TlbEntry
 from .memory_manager import PhysicalMemory
 from .thp import ThpPolicy
 
@@ -32,6 +33,15 @@ class ResolvedPage(NamedTuple):
     large: bool
     guest_frame: int  # gPA frame base (== host frame in native mode)
     host_frame: int   # hPA frame base
+    #: The page's translation, built once here; every structure that
+    #: caches the page inserts this object instead of building its own.
+    tlb_entry: TlbEntry
+
+
+def _resolved(large: bool, guest_frame: int, host_frame: int) -> ResolvedPage:
+    """A freshly mapped page together with its one :class:`TlbEntry`."""
+    return ResolvedPage(large, guest_frame, host_frame,
+                        TlbEntry(host_frame >> addr.page_shift(large)))
 
 
 class GuestProcess:
@@ -136,7 +146,7 @@ class VirtualMachine:
         hpa_frame = self.host_memory.alloc_frame(large=large)
         proc.guest_table.map_page(vaddr, gpa_frame, large=large)
         self.host_table.map_page(gpa_frame, hpa_frame, large=large)
-        page = ResolvedPage(large=large, guest_frame=gpa_frame, host_frame=hpa_frame)
+        page = _resolved(large, gpa_frame, hpa_frame)
         if large:
             proc.large_pages[vaddr >> addr.LARGE_PAGE_SHIFT] = page
         else:
@@ -196,7 +206,7 @@ class NativeProcess:
         large = self.thp.is_large_region(self.asid, vaddr >> addr.LARGE_PAGE_SHIFT)
         frame = self.host_memory.alloc_frame(large=large)
         self.page_table.map_page(vaddr, frame, large=large)
-        page = ResolvedPage(large=large, guest_frame=frame, host_frame=frame)
+        page = _resolved(large, frame, frame)
         if large:
             self.large_pages[vaddr >> addr.LARGE_PAGE_SHIFT] = page
         else:

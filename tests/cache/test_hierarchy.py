@@ -83,6 +83,40 @@ class TestTlbLinePath:
         assert not hierarchy.l3.contains(0x7000)
 
 
+    def test_rewritten_line_matches_invalidate_then_fill(self):
+        """One call equals dropping the line everywhere, then refilling.
+
+        Lines share one L2 and one L3 set, so the sets fill up and the
+        refill's eviction path runs; recency order and counters must
+        agree exactly.
+        """
+        config = SystemConfig(num_cores=3)
+        merged_stats, split_stats = StatRegistry(), StatRegistry()
+        merged = CacheHierarchy(config, merged_stats)
+        split = CacheHierarchy(config, split_stats)
+        stride = merged.l3._num_sets * 64
+        lines = [0x40000000 + i * stride for i in range(24)]
+        for step in range(600):
+            # Each line is used by all three cores in turn, so the other
+            # cores' L2s hold a copy when one core rewrites it.
+            core = step % 3
+            paddr = lines[(step // 3 * 7) % len(lines)]
+            if step % 5 == 0:
+                merged.tlb_line_rewritten(core, paddr)
+                split.invalidate_tlb_line(paddr)
+                split.tlb_line_fill(core, paddr)
+            else:
+                for hierarchy in (merged, split):
+                    if hierarchy.tlb_line_probe(core, paddr)[1] is None:
+                        hierarchy.tlb_line_fill(core, paddr)
+        state = [[list(tags.items()) for tags in cache._tags]
+                 for cache in merged.all_caches()]
+        assert state == [[list(tags.items()) for tags in cache._tags]
+                         for cache in split.all_caches()]
+        assert merged_stats.as_nested_dict() == split_stats.as_nested_dict()
+        assert merged_stats["l3d"]["tlb_evictions"], "sets must fill up"
+
+
 class TestLatencyAccumulation:
     def test_l2_hit_latency(self, hierarchy):
         hierarchy.data_access(0, 0x9000)

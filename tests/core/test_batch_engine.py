@@ -5,7 +5,8 @@ holds the loop bit-identical to the frozen reference at workload scale.
 This module aims at the seams instead: a warm-up reset and a
 ``max_references`` cap landing mid-stream, degenerate streams,
 invalidations between runs, tuple vs packed input, the merge order the
-loop replays, and exactly where scheduled events fire.
+loop replays, exactly where scheduled events fire, and what records
+before the warm-up boundary.
 
 Event-free cases compare against :mod:`repro.core.refcheck`; cases the
 reference cannot model (shootdown, teardown) compare against counters
@@ -19,6 +20,10 @@ import pytest
 from repro.core.refcheck import ReferenceMachine
 from repro.core.system import Machine
 from repro.experiments.runner import ExperimentParams, simulate_run
+from repro.obs import Observability, events as obs_events
+from repro.obs.histogram import LogHistogram
+from repro.obs.sinks import ListSink
+from repro.obs.tracer import EventTracer
 from repro.workloads.lifecycle import LifecycleEvent
 from repro.workloads.packed import pack_stream
 from repro.workloads.suite import get_profile
@@ -46,35 +51,62 @@ def _machine(profile, scheme="pom", params=PARAMS, **kwargs):
                    seed=params.seed, **kwargs)
 
 
-def _reference(profile, scheme="pom", params=PARAMS):
+def _reference(profile, scheme="pom", params=PARAMS, **kwargs):
     return ReferenceMachine(params.system_config(), scheme=scheme,
                             thp_large_fraction=profile.thp_large_fraction,
-                            seed=params.seed)
+                            seed=params.seed, **kwargs)
 
 
-def _assert_same(expected, result):
+def _assert_same(expected, result, observed=False):
+    """Scalars and counters; with ``observed``, histograms and windows too."""
     for field in RESULT_FIELDS:
         assert getattr(result, field) == getattr(expected, field), field
     assert (result.stats.as_nested_dict()
             == expected.stats.as_nested_dict())
+    if observed:
+        assert ({name: h.as_dict() for name, h in result.histograms.items()}
+                == {name: h.as_dict()
+                    for name, h in expected.histograms.items()})
+        assert result.windows.rows == expected.windows.rows
+        assert result.windows.rows, "windows must cover the measured part"
 
 
 def _warmup(workload):
     return workload.warmup_by_core or workload.warmup_references
 
 
+#: Workload fields holding the two forms of ``warmup_references``: a
+#: global count and per-core counts.
+WARMUP_FORMS = ("warmup_references", "warmup_by_core")
+
+
 # -- refcheck equivalence at the seams -------------------------------------
 
 
-def test_warmup_reset_mid_slice():
-    """The warm-up reset lands mid-stream and zeroes tallies exactly."""
+def _check_warmup_seam(form):
     profile, workload = _workload()
-    warm = _warmup(workload)
+    warm = getattr(workload, form)
     assert warm, "workload must actually exercise the warmup reset"
-    reference = _reference(profile).run(workload.streams,
-                                        warmup_references=warm)
-    _assert_same(reference, _machine(profile).run(
-        workload.streams, warmup_references=warm))
+    reference = _reference(profile, obs=Observability(window=300)).run(
+        workload.streams, warmup_references=warm)
+    _assert_same(reference, _machine(
+        profile, obs=Observability(window=300)).run(
+            workload.streams, warmup_references=warm), observed=True)
+
+
+def test_warmup_reset_mid_slice():
+    """The warm-up reset lands mid-stream and zeroes tallies exactly.
+
+    Per-core form.  Histograms and window rows match the reference too,
+    although the reference records the warm-up and erases it while the
+    engine does not record it at all.
+    """
+    _check_warmup_seam("warmup_by_core")
+
+
+def test_warmup_reset_mid_slice_global_count():
+    """The same seam with the global ``int`` warm-up count."""
+    _check_warmup_seam("warmup_references")
 
 
 def test_max_references_truncates_identically():
@@ -250,9 +282,9 @@ class _Probe:
         self._seen.append((self.position, machine.translated))
 
 
-def _counting_machine(profile):
+def _counting_machine(profile, **kwargs):
     """A machine whose ``translated`` counts translations so far."""
-    machine = _machine(profile)
+    machine = _machine(profile, **kwargs)
     machine.translated = 0
     translate = machine.scheme.translate_packed
 
@@ -345,3 +377,50 @@ def test_destroy_vm_event_replays_identically():
     _assert_same(result, again)
     plain = _machine(profile).run(workload.streams, warmup_references=warm)
     assert result.page_walks > plain.page_walks
+
+
+# -- the warm-up boundary --------------------------------------------------
+
+
+@pytest.mark.parametrize("offset, shootdowns", ((0, 0), (1, 1)))
+def test_event_at_boundary_fires_before_the_reset(offset, shootdowns):
+    """An event at the boundary is wiped by the reset; one later stays."""
+    profile, workload = _workload()
+    boundary = workload.warmup_references
+    target = workload.streams[0]
+    event = LifecycleEvent(position=boundary + offset,
+                           kind="shootdown", vm_id=target.vm_id,
+                           asid=target.asid,
+                           vaddr=target.references[-1].vaddr)
+    machine = _machine(profile)
+    machine.run(workload.streams, warmup_references=boundary, events=[event])
+    assert machine.stats["mmu"]["shootdowns"] == shootdowns
+
+
+@pytest.mark.parametrize("form", WARMUP_FORMS)
+def test_histograms_record_nothing_before_the_boundary(form, monkeypatch):
+    """No histogram sample during warm-up; the tracer sees all of it."""
+    profile, workload = _workload()
+    warm = getattr(workload, form)
+    sink = ListSink()
+    machine = _counting_machine(profile, obs=Observability(
+        tracer=EventTracer(sinks=[sink])))
+    recorded_at = []
+    record = LogHistogram.record
+
+    def spy(histogram, value):
+        recorded_at.append(machine.translated)
+        record(histogram, value)
+
+    monkeypatch.setattr(LogHistogram, "record", spy)
+    result = machine.run(workload.streams, warmup_references=warm)
+    boundary = machine.translated - result.references
+    assert boundary > 0
+    assert recorded_at and min(recorded_at) == boundary + 1
+    markers = [i for i, event in enumerate(sink.events)
+               if event["type"] == obs_events.MARKER]
+    assert [sink.events[i]["name"] for i in markers] == ["stats_reset"]
+    translations = [i for i, event in enumerate(sink.events)
+                    if event["type"] == obs_events.TRANSLATION]
+    assert sum(i < markers[0] for i in translations) == boundary
+    assert len(translations) == machine.translated

@@ -1,10 +1,13 @@
 """Unit tests for the translation schemes (paper Figure 7 flow and baselines)."""
 
+import dataclasses
+
 import pytest
 
 from repro.common import addr
 from repro.common.config import SystemConfig
 from repro.core.system import Machine
+from repro.workloads.trace import CoreStream, MemoryReference
 
 
 def make_machine(scheme, large_fraction=0.0, **config_overrides):
@@ -232,3 +235,67 @@ class TestMakeScheme:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             make_machine("magic")
+
+
+def _cached_entries(machine, key, vaddr):
+    """Every entry the scheme's structures hold for ``key`` (core 0)."""
+    scheme = machine.scheme
+    found = [scheme.cores[0].l1_small.lookup(key)]
+    if scheme.name == "shared_l2":
+        found += [scheme.shared.lookup(key), scheme._shadow[0].lookup(key)]
+    else:
+        found.append(scheme.cores[0].l2.lookup(key))
+    if scheme.name == "pom":
+        found.append(scheme.pom.probe(vaddr, key))
+    elif scheme.name == "pom_skewed":
+        found += [entry for way, slot, _line in scheme.pom.candidates(key)
+                  if (entry := scheme.pom.probe_slot(key, way, slot))
+                  is not None]
+    return found
+
+
+class TestOneEntryPerPage:
+    """Demand paging builds one frozen TlbEntry; every structure shares it."""
+
+    @pytest.mark.parametrize("scheme", ("baseline", "pom", "pom_skewed",
+                                        "shared_l2", "tsb"))
+    def test_miss_inserts_the_pages_entry_everywhere(self, scheme):
+        m = make_machine(scheme)
+        page = m.touch(0, 1, 0x5000)
+        assert translate(m, 0x5000).l2_miss
+        found = _cached_entries(m, _key(m, 0, 1, 0x5000, False), 0x5000)
+        expected = {"pom": 3, "pom_skewed": 3, "shared_l2": 3}.get(scheme, 2)
+        assert len(found) == expected
+        assert all(entry is page.tlb_entry for entry in found)
+        assert page.tlb_entry.ppn == page.host_frame >> addr.SMALL_PAGE_SHIFT
+
+    def test_l2_hit_refills_l1_with_the_same_entry(self):
+        m = make_machine("baseline")
+        page = m.touch(0, 1, 0x5000)
+        translate(m, 0x5000)
+        m.scheme.cores[0].l1_small.flush()
+        assert not translate(m, 0x5000).l2_miss
+        key = _key(m, 0, 1, 0x5000, False)
+        assert m.scheme.cores[0].l1_small.lookup(key) is page.tlb_entry
+
+    def test_entry_is_frozen(self):
+        page = make_machine("pom").touch(0, 1, 0x5000)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            page.tlb_entry.ppn = 1
+
+    def test_machines_on_one_adopted_host_insert_the_same_object(self):
+        config = SystemConfig(num_cores=1)
+        stream = CoreStream(core=0, vm_id=0, asid=1, references=[
+            MemoryReference(10 * (i + 1), i * addr.SMALL_PAGE_SIZE, False)
+            for i in range(32)])
+        builder = Machine(config, scheme="baseline", seed=7)
+        builder.run([stream])
+        adopters = [Machine(config, scheme="pom", seed=7, host=builder.host)
+                    for _ in range(2)]
+        for machine in adopters:
+            machine.run([stream])
+        for vaddr in (0, 17 * addr.SMALL_PAGE_SIZE):
+            page = builder.host.vms[0].resolve(1, vaddr)
+            key = _key(builder, 0, 1, vaddr, False)
+            for machine in adopters:
+                assert machine.scheme.pom.probe(vaddr, key) is page.tlb_entry
