@@ -31,3 +31,34 @@ class TestPublicApi:
         from repro.core import SCHEMES
         assert set(SCHEMES) == {"baseline", "pom", "pom_skewed",
                                 "shared_l2", "tsb"}
+
+
+#: keyword arguments that only exist from Python 3.10 on
+_PY310_KEYWORDS = {"dataclass": {"slots", "kw_only", "match_args"},
+                   "zip": {"strict"}}
+
+
+def test_sources_stay_within_the_declared_minimum_python():
+    # pyproject declares requires-python >= 3.9, while CI runs a newer
+    # interpreter; a 3.10-only construct would only fail on import on 3.9.
+    import ast
+    import pathlib
+    import re
+
+    root = pathlib.Path(repro.__file__).resolve().parents[2]
+    declared = re.search(r'requires-python\s*=\s*">=3\.(\d+)"',
+                         (root / "pyproject.toml").read_text())
+    assert declared and int(declared.group(1)) == 9
+    offenders = []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path), feature_version=(3, 9))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            for keyword in node.keywords:
+                if keyword.arg in _PY310_KEYWORDS.get(name, ()):
+                    offenders.append(f"{path.name}:{node.lineno} "
+                                     f"{name}({keyword.arg}=)")
+    assert offenders == []
